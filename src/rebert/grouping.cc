@@ -60,9 +60,11 @@ std::vector<int> group_words(const ScoreMatrix& scores,
   const double max_score = scores.max_score();
   if (max_score > 0.0) {
     const double threshold = max_score * options.threshold_factor;
-    for (int i = 0; i < n; ++i)
+    for (int i = 0; i < n; ++i) {
+      const double* row = scores.row(i);
       for (int j = i + 1; j < n; ++j)
-        if (scores.at(i, j) > threshold) uf.unite(i, j);
+        if (row[j] > threshold) uf.unite(i, j);
+    }
   }
   return uf.labels();
 }

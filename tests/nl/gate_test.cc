@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <vector>
 
 #include "util/check.h"
@@ -43,6 +44,16 @@ struct TruthCase {
   std::vector<bool> inputs;
   bool expected;
 };
+
+// Prints a case as e.g. "MUX_010_is1". Test discovery names each case by
+// its printed value, and gtest's default byte dump of the struct would
+// embed heap addresses, making the names differ from build to build.
+void PrintTo(const TruthCase& c, std::ostream* os) {
+  *os << gate_type_name(c.type) << '_';
+  for (const bool b : c.inputs) *os << (b ? '1' : '0');
+  if (!c.inputs.empty()) *os << '_';
+  *os << "is" << (c.expected ? '1' : '0');
+}
 
 class GateEvalTest : public ::testing::TestWithParam<TruthCase> {};
 

@@ -76,11 +76,25 @@ TEST(PredictionCacheTest, CachedScoringIsBitIdentical) {
   config.intermediate = 64;
   bert::BertPairClassifier model(config);
 
-  const ScoreMatrix uncached = build_score_matrix_with_model(
-      bits, tokenizer, FilterOptions{}, model, nullptr);
+  // The per-pair oracle: encode and forward every surviving pair.
+  const auto forward = [&](int i, int j) {
+    return model.predict_same_word_probability(tokenizer.encode_pair(
+        bits[static_cast<std::size_t>(i)], bits[static_cast<std::size_t>(j)]));
+  };
+  const ScoreMatrix uncached =
+      build_score_matrix(bits, FilterOptions{}, forward);
   PredictionCache cache;
-  const ScoreMatrix cached = build_score_matrix_with_model(
-      bits, tokenizer, FilterOptions{}, model, &cache);
+  const ScoreMatrix cached =
+      build_score_matrix(bits, FilterOptions{}, [&](int i, int j) {
+        const std::uint64_t key = PredictionCache::key_of(
+            bits[static_cast<std::size_t>(i)],
+            bits[static_cast<std::size_t>(j)]);
+        double score = 0.0;
+        if (cache.lookup(key, &score)) return score;
+        score = forward(i, j);
+        cache.insert(key, score);
+        return score;
+      });
 
   ASSERT_EQ(uncached.size(), cached.size());
   for (int i = 0; i < uncached.size(); ++i)
