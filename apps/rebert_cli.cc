@@ -39,8 +39,6 @@
 //   rebert_cli call        --socket /tmp/router.sock [--retry] <request...>
 //   rebert_cli score       [--bench b07] [--pairs 200 | --bits a,b]
 //                          [--seed 1] [--cache-file cache.rbpc] [...]
-//   rebert_cli bench-serve [--bench b07] [--requests 200] [--clients 2]
-//                          [--threads N] [--batch 16] [--scale 0.25]
 //
 // File formats are detected by extension: .v / .verilog parse as structural
 // Verilog, everything else as ISCAS-89 .bench.
@@ -50,8 +48,7 @@
 // diagnostic fired (add --fail-on-warn to also fail on warnings).
 //
 // `serve` speaks the newline protocol of src/serve/protocol.h over stdio
-// (default) or a Unix socket; `bench-serve` drives the same engine with an
-// in-process load generator and reports p50/p95 latency and QPS.
+// (default) or a Unix socket.
 //
 // Overload safety (see DESIGN.md): --max-inflight bounds concurrently
 // admitted score/recover requests (excess answered `err overloaded
@@ -71,7 +68,6 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -101,6 +97,7 @@
 #include "serve/serve_loop.h"
 #include "structural/matching.h"
 #include "util/flags.h"
+#include "util/fnv1a.h"
 #include "util/rng.h"
 #include "util/string_utils.h"
 #include "util/timer.h"
@@ -281,12 +278,14 @@ int cmd_recover(const util::FlagParser& flags) {
   } else {
     core::ExperimentOptions options = experiment_options(flags);
     options.pipeline.num_threads = threads;
-    // Cross-run prediction reuse: warm the cache from a snapshot before
-    // scoring and write it back after (lossless — labels are identical
-    // warm or cold, only wall-clock changes).
+    // Cross-run prediction reuse: map a snapshot as the cache's warm tier
+    // before scoring (the same warm start the serve daemon does) and write
+    // it back after (lossless — labels are identical warm or cold, only
+    // wall-clock changes).
     core::ShardedPredictionCache cache;
     if (!cache_file.empty()) {
-      const std::size_t warmed = persist::load_cache(&cache, cache_file);
+      const std::size_t warmed =
+          persist::warm_start_cache(&cache, cache_file);
       std::printf("cache: warm-started %zu entries from %s\n", warmed,
                   cache_file.c_str());
       options.pipeline.external_cache = &cache;
@@ -678,33 +677,6 @@ int cmd_call(const util::FlagParser& flags) {
   return util::starts_with(response, "ok") ? 0 : 1;
 }
 
-// convert-snapshot: rewrite a prediction-cache snapshot between the v1
-// stream layout and the v2 mmap layout. Every load path reads both, so
-// this exists for operators pinning a fleet to one layout (v2 is what
-// save_cache writes and what O(1) warm start maps).
-int cmd_convert_snapshot(const util::FlagParser& flags) {
-  const std::string in = require_flag(flags, "in");
-  const std::string out = require_flag(flags, "out");
-  const std::string to = util::to_lower(flags.get("to", "v2"));
-  if (to != "v1" && to != "v2") {
-    std::fprintf(stderr, "--to expects v1 or v2, got '%s'\n", to.c_str());
-    return 2;
-  }
-  const persist::SnapshotLoadResult loaded = persist::load_snapshot(in);
-  if (!loaded.loaded()) {
-    std::fprintf(stderr, "convert-snapshot: cannot read %s: %s\n",
-                 in.c_str(), loaded.message.c_str());
-    return 1;
-  }
-  if (to == "v1")
-    persist::save_snapshot(loaded.records, out);
-  else
-    persist::save_snapshot_v2(loaded.records, out);
-  std::printf("convert-snapshot: %zu record(s) from %s to %s (%s)\n",
-              loaded.records.size(), in.c_str(), out.c_str(), to.c_str());
-  return 0;
-}
-
 // Scores a batch of bit pairs through the serving engine — either one
 // explicit pair (--bits a,b) or a seeded random workload (--pairs N).
 // With --cache-file the run warm-starts from a snapshot and writes one
@@ -747,16 +719,8 @@ int cmd_score(const util::FlagParser& flags) {
 
   // FNV-1a over the raw score bits: two runs scored the same workload
   // identically iff the checksums match.
-  std::uint64_t checksum = 14695981039346656037ULL;
-  for (double score : scores) {
-    std::uint64_t raw;
-    static_assert(sizeof(raw) == sizeof(score));
-    std::memcpy(&raw, &score, sizeof(raw));
-    for (int b = 0; b < 64; b += 8) {
-      checksum ^= (raw >> b) & 0xff;
-      checksum *= 1099511628211ULL;
-    }
-  }
+  const std::uint64_t checksum =
+      util::fnv1a(scores.data(), scores.size() * sizeof(double));
   if (!bits.empty())
     std::printf("score %s %s %s = %s\n", bench.c_str(),
                 pairs[0].first.c_str(), pairs[0].second.c_str(),
@@ -781,73 +745,6 @@ int cmd_score(const util::FlagParser& flags) {
                 stats.cache_entries, cache_file.c_str());
   }
   return 0;
-}
-
-int cmd_bench_serve(const util::FlagParser& flags) {
-  serve::InferenceEngine engine(engine_options(flags));
-  serve::ServeLoop loop(engine);
-
-  const std::string bench = flags.get("bench", "b07");
-  const int total = std::max(1, flags.get_int("requests", 200));
-  const int clients = std::max(1, flags.get_int("clients", 2));
-  const int num_bits = engine.warm(bench);
-  const std::vector<std::string> bits = engine.bit_names(bench);
-  std::printf("bench-serve: %s (%d bits), %d requests, %d client(s), "
-              "%d engine thread(s), batch %d\n",
-              bench.c_str(), num_bits, total, clients, engine.threads(),
-              engine.options().batch_size);
-
-  std::atomic<int> next{0};
-  std::atomic<int> errors{0};
-  std::vector<std::vector<double>> latencies(
-      static_cast<std::size_t>(clients));
-  util::WallTimer wall;
-  std::vector<std::thread> workers;
-  for (int c = 0; c < clients; ++c) {
-    workers.emplace_back([&, c] {
-      util::Rng rng(0x5e27eULL + static_cast<std::uint64_t>(c));
-      std::vector<double>& mine = latencies[static_cast<std::size_t>(c)];
-      while (next.fetch_add(1) < total) {
-        const std::string& a =
-            bits[static_cast<std::size_t>(rng.uniform_int(0, num_bits - 1))];
-        const std::string& b =
-            bits[static_cast<std::size_t>(rng.uniform_int(0, num_bits - 1))];
-        const std::string line = "score " + bench + " " + a + " " + b;
-        util::WallTimer timer;
-        bool quit = false;
-        const std::string response = loop.handle_line(line, &quit);
-        mine.push_back(timer.seconds());
-        if (!util::starts_with(response, "ok"))
-          errors.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-  for (std::thread& worker : workers) worker.join();
-  const double elapsed = wall.seconds();
-
-  std::vector<double> all;
-  for (const std::vector<double>& client : latencies)
-    all.insert(all.end(), client.begin(), client.end());
-  std::sort(all.begin(), all.end());
-  const auto percentile = [&all](double p) {
-    const std::size_t index = std::min(
-        all.size() - 1, static_cast<std::size_t>(p * all.size()));
-    return all[index];
-  };
-  double sum = 0.0;
-  for (double latency : all) sum += latency;
-
-  if (errors.load() > 0)
-    std::fprintf(stderr, "bench-serve: %d request(s) failed\n",
-                 errors.load());
-  std::printf("requests   : %zu\n", all.size());
-  std::printf("wall       : %.3fs\n", elapsed);
-  std::printf("qps        : %.1f\n",
-              static_cast<double>(all.size()) / elapsed);
-  std::printf("latency avg: %.3fms\n", 1000.0 * sum / all.size());
-  std::printf("latency p50: %.3fms\n", 1000.0 * percentile(0.50));
-  std::printf("latency p95: %.3fms\n", 1000.0 * percentile(0.95));
-  return errors.load() > 0 ? 1 : 0;
 }
 
 // The one subcommand table: the usage screen and the dispatcher in main()
@@ -900,16 +797,10 @@ constexpr Subcommand kSubcommands[] = {
     {"call",
      "--socket /tmp/router.sock [--retry] [--binary] <request tokens...>",
      cmd_call},
-    {"convert-snapshot", "--in cache.rbpc --out cache2.rbpc [--to v2|v1]",
-     cmd_convert_snapshot},
     {"score",
      "[--bench b07] [--pairs 200 | --bits a,b] [--seed 1] "
      "[--cache-file cache.rbpc] [--model model.bin] [--threads N]",
      cmd_score},
-    {"bench-serve",
-     "[--bench b07] [--requests 200] [--clients 2] [--threads N] "
-     "[--batch 16] [--scale 0.25]",
-     cmd_bench_serve},
 };
 
 int usage() {
@@ -934,7 +825,7 @@ int main(int argc, char** argv) {
   const util::FlagParser flags(argc, argv);
   if (flags.positional().empty()) return usage();
   // --kernels is global: every compute-bearing subcommand (train, recover,
-  // score, serve, bench-serve, and backends spawned by route) honors it.
+  // score, serve, and backends spawned by route) honors it.
   // Unset keeps the REBERT_KERNELS / cpuid auto-selection.
   const std::string kernels_spec = flags.get("kernels", "");
   if (!kernels_spec.empty()) {

@@ -1,4 +1,5 @@
-// Shared helpers for the experiment harnesses (Table I-III + ablations).
+// Shared helpers for the experiment harnesses (Table I-III, ablations and
+// the serve benches).
 //
 // Every bench is environment-tunable so the same binary scales from a
 // minutes-long smoke run (the defaults) to a paper-sized overnight sweep:
@@ -11,6 +12,8 @@
 //   REBERT_SEED         global experiment seed                 (default 7)
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -72,6 +75,15 @@ inline std::vector<core::CircuitData> generate_suite(
     circuits.push_back(
         to_circuit_data(gen::generate_benchmark(name, setup.scale), name));
   return circuits;
+}
+
+/// Nearest-index percentile of an ascending-sorted sample: the element at
+/// floor(p * n), clamped to the last one; 0 for an empty sample.
+inline double percentile(const std::vector<double>& sorted, double p) {
+  if (sorted.empty()) return 0.0;
+  const std::size_t index = std::min(
+      sorted.size() - 1, static_cast<std::size_t>(p * sorted.size()));
+  return sorted[index];
 }
 
 inline const std::vector<double>& r_index_sweep() {

@@ -66,13 +66,6 @@ namespace {
 
 using namespace rebert;
 
-double percentile(std::vector<double>& sorted, double p) {
-  if (sorted.empty()) return 0.0;
-  const std::size_t index = std::min(
-      sorted.size() - 1, static_cast<std::size_t>(p * sorted.size()));
-  return sorted[index];
-}
-
 struct PhaseResult {
   int clients = 0;
   int requests = 0;       // issued
@@ -148,8 +141,8 @@ PhaseResult run_phase(serve::ClientPool& pool, const std::string& bench,
   for (const std::vector<double>& client : latencies)
     all.insert(all.end(), client.begin(), client.end());
   std::sort(all.begin(), all.end());
-  result.p50_ms = 1000.0 * percentile(all, 0.50);
-  result.p95_ms = 1000.0 * percentile(all, 0.95);
+  result.p50_ms = 1000.0 * benchharness::percentile(all, 0.50);
+  result.p95_ms = 1000.0 * benchharness::percentile(all, 0.95);
   return result;
 }
 

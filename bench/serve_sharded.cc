@@ -86,13 +86,6 @@ constexpr int kScalingBackends = 8;
 constexpr int kScalingPoints[] = {1, 2, 4, 8};
 constexpr int kDrillBackends = 2;
 
-double percentile(std::vector<double>& sorted, double p) {
-  if (sorted.empty()) return 0.0;
-  const std::size_t index = std::min(
-      sorted.size() - 1, static_cast<std::size_t>(p * sorted.size()));
-  return sorted[index];
-}
-
 // Child-process body: a standard serve daemon. Scaling backends
 // (forward_ms > 0) are made predictably slow and cache-free so the
 // parent's throughput numbers are a function of the injected latency and
@@ -224,8 +217,8 @@ PhaseResult run_phase(router::Router& router,
   result.qps = result.seconds > 0.0
                    ? static_cast<double>(result.completed) / result.seconds
                    : 0.0;
-  result.p50_ms = 1000.0 * percentile(all, 0.50);
-  result.p95_ms = 1000.0 * percentile(all, 0.95);
+  result.p50_ms = 1000.0 * benchharness::percentile(all, 0.50);
+  result.p95_ms = 1000.0 * benchharness::percentile(all, 0.95);
   return result;
 }
 

@@ -8,19 +8,12 @@
 //   REBERT_SERVE_BENCH     benchmark to serve           (default b07)
 //   REBERT_SERVE_REQUESTS  score requests per run       (default 400)
 //   REBERT_WARM_THREADS    engine threads               (default 4)
-//   REBERT_WARM_MMAP_MAX   largest synthetic snapshot for the
-//                          mmap-vs-stream table          (default 1000000)
-#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "bench/common.h"
-#include "persist/cache_io.h"
-#include "persist/mmap_snapshot.h"
-#include "persist/snapshot.h"
-#include "rebert/prediction_cache.h"
 #include "serve/engine.h"
 #include "util/csv.h"
 #include "util/rng.h"
@@ -135,61 +128,6 @@ int main() {
                 "bar\n",
                 warm_run.hit_rate);
 
-  // Restart-to-warm latency, the tentpole number for the mmap artifact
-  // layer: the same synthetic snapshot saved as v1 (stream-parsed and
-  // imported record by record) and as v2 (header+checksum validated, then
-  // served straight off the mapping). Acceptance: >= 10x at the largest
-  // size. Timing is warm_start_cache() end to end — what a respawned
-  // backend actually pays before it can answer.
-  const std::size_t mmap_max = static_cast<std::size_t>(
-      util::env_int("REBERT_WARM_MMAP_MAX", 1000000));
-  std::printf("\n=== Warm-start load: v1 stream parse vs v2 mmap ===\n");
-  util::TextTable mmap_table(
-      {"records", "v1 stream ms", "v2 mmap ms", "speedup"});
-  util::CsvWriter mmap_csv(
-      "serve_warm_start_mmap.csv",
-      {"records", "v1_stream_ms", "v2_mmap_ms", "speedup"});
-  for (std::size_t count = 10000; count <= mmap_max; count *= 10) {
-    std::vector<persist::CacheRecord> records;
-    records.reserve(count);
-    util::Rng rng(0xC0FFEEULL + count);
-    for (std::size_t i = 0; i < count; ++i)
-      records.emplace_back(i * 2654435761ULL + 17, rng.uniform(0.0, 1.0));
-    const std::string v1_path = "serve_warm_start_v1.rbpc";
-    const std::string v2_path = "serve_warm_start_v2.rbpc";
-    persist::save_snapshot(records, v1_path);
-    persist::save_snapshot_v2(records, v2_path);
-    // Best of three: the first mmap load pays page-cache warmup for both.
-    double v1_ms = 1e18;
-    double v2_ms = 1e18;
-    for (int rep = 0; rep < 3; ++rep) {
-      {
-        core::ShardedPredictionCache cache;
-        util::WallTimer t;
-        (void)persist::warm_start_cache(&cache, v1_path);
-        v1_ms = std::min(v1_ms, t.seconds() * 1e3);
-      }
-      {
-        core::ShardedPredictionCache cache;
-        util::WallTimer t;
-        (void)persist::warm_start_cache(&cache, v2_path);
-        v2_ms = std::min(v2_ms, t.seconds() * 1e3);
-      }
-    }
-    const double mmap_speedup = v1_ms / std::max(v2_ms, 1e-6);
-    mmap_table.add_row({std::to_string(count),
-                        util::format_double(v1_ms, 3),
-                        util::format_double(v2_ms, 3),
-                        util::format_double(mmap_speedup, 1)});
-    mmap_csv.add_row({std::to_string(count),
-                      util::format_double(v1_ms, 3),
-                      util::format_double(v2_ms, 3),
-                      util::format_double(mmap_speedup, 1)});
-    std::remove(v1_path.c_str());
-    std::remove(v2_path.c_str());
-  }
-  mmap_table.print();
-
-  std::printf("wrote serve_warm_start.csv, serve_warm_start_mmap.csv\n");
+  std::printf("wrote serve_warm_start.csv\n");
   return 0;
 }

@@ -6,6 +6,7 @@
 #include "nl/decompose.h"
 #include "nl/lint.h"
 #include "util/check.h"
+#include "util/fnv1a.h"
 
 namespace rebert::gen {
 
@@ -29,12 +30,7 @@ constexpr SuiteEntry kSuite[] = {
 
 std::uint64_t name_seed(const std::string& name) {
   // Stable per-benchmark seed derived from the name.
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (char c : name) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
+  return util::fnv1a(name.data(), name.size());
 }
 
 }  // namespace

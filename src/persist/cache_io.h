@@ -1,10 +1,8 @@
-// Warm-start glue between the RBPC snapshot format and the prediction
-// caches. Header-only templates so persist stays a leaf library: any cache
-// exposing export_entries() / import_entries() (core::PredictionCache and
-// core::ShardedPredictionCache both do) persists through the same two
-// calls, and only the including translation unit pays the dependencies
-// (including rebert_runtime for the cache.load / cache.parse chaos sites —
-// every current includer links it already).
+// Warm-start glue between the RBPC snapshot format and the sharded
+// prediction cache. Header-only so persist stays a leaf library: only the
+// including translation unit pays the dependencies (core for the cache,
+// rebert_runtime for the cache.load / cache.parse chaos sites — every
+// current includer links both already).
 #pragma once
 
 #include <cstddef>
@@ -13,7 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include "persist/mmap_snapshot.h"
 #include "persist/snapshot.h"
 #include "rebert/prediction_cache.h"
 #include "runtime/fault_injector.h"
@@ -21,57 +18,16 @@
 
 namespace rebert::persist {
 
-/// Atomically snapshot `cache` to `path`. Throws util::CheckError (with
-/// errno detail) on I/O failure. Writes the mmap-able RBPC v2 layout
-/// (mmap_snapshot.h) so every snapshot this build produces supports the
-/// zero-copy warm start; load paths read v1 and v2 alike.
-template <typename Cache>
-void save_cache(const Cache& cache, const std::string& path) {
-  save_snapshot_v2(cache.export_entries(), path);
+/// Atomically snapshot `cache` (shard entries and any warm tier) to
+/// `path`. Throws util::CheckError (with errno detail) on I/O failure.
+inline void save_cache(const core::ShardedPredictionCache& cache,
+                       const std::string& path) {
+  save_snapshot(cache.export_entries(), path);
 }
 
-/// Warm-start `cache` from a snapshot. Returns the number of entries
-/// imported; a missing file imports 0 silently-ish (info log, normal first
-/// run) and a corrupt/truncated/version-skewed file imports 0 with a
-/// warning — the caller always continues, at worst cold. Never throws on
-/// file content.
-template <typename Cache>
-std::size_t load_cache(Cache* cache, const std::string& path) {
-  // Chaos sites: cache.load simulates the snapshot file being unreadable
-  // (I/O error, permission flip), cache.parse a record-level corruption
-  // the CRC missed. Both degrade to a cold start — exactly the missing /
-  // corrupt-file contract below — and never fail the caller.
-  runtime::FaultInjector& faults = runtime::FaultInjector::global();
-  if (faults.should_fail("cache.load")) {
-    LOG_WARN << "cache snapshot: injected load fault for " << path
-             << "; starting cold";
-    return 0;
-  }
-  const SnapshotLoadResult result = load_snapshot(path);
-  if (result.status == SnapshotLoadStatus::kLoaded &&
-      faults.should_fail("cache.parse")) {
-    LOG_WARN << "cache snapshot rejected: injected parse fault for " << path
-             << "; starting cold";
-    return 0;
-  }
-  switch (result.status) {
-    case SnapshotLoadStatus::kLoaded:
-      return cache->import_entries(result.records);
-    case SnapshotLoadStatus::kMissing:
-      LOG_INFO << "cache snapshot: " << result.message << "; starting cold";
-      return 0;
-    case SnapshotLoadStatus::kCorrupt:
-      LOG_WARN << "cache snapshot rejected: " << result.message
-               << "; starting cold";
-      return 0;
-  }
-  return 0;
-}
-
-/// core::ScoreTier over a mapped RBPC v2 snapshot — the adapter that
-/// plugs the persistence layer's mapping into the cache's warm tier
-/// without persist linking core (header-only; only includers pay the
-/// dependency, and they all link core already).
+/// core::ScoreTier over a mapped RBPC snapshot — the adapter that plugs
+/// the persistence layer's mapping into the cache's warm tier without
+/// persist linking core.
 class MmapSnapshotTier final : public core::ScoreTier {
  public:
   explicit MmapSnapshotTier(std::shared_ptr<const MmapSnapshot> snapshot)
@@ -92,16 +48,19 @@ class MmapSnapshotTier final : public core::ScoreTier {
   std::shared_ptr<const MmapSnapshot> snapshot_;
 };
 
-/// Zero-copy warm start for the sharded cache: a v2 snapshot is mapped,
-/// validated (header + checksum), and attached as a read-only warm tier —
-/// O(1) in the record count beyond the validation scan, no
-/// materialization. Anything else (a v1 snapshot, a missing or corrupt
-/// file) falls back to the stream parse + import with the same
-/// cold-start-on-defect contract as load_cache. Returns the entries made
-/// available either way. The cache.load / cache.parse chaos sites fire
-/// exactly once per call, whichever path runs.
+/// Zero-copy warm start: the snapshot is mapped, validated (header,
+/// checksum, key order) and attached as a read-only warm tier — O(1) in
+/// the record count beyond the validation scan, no materialization.
+/// Returns the entries made available. A missing file warms nothing with
+/// an info log (a normal first run); a corrupt, truncated or
+/// version-skewed one warms nothing with a warning. The caller always
+/// continues, at worst cold: never throws on file content.
 inline std::size_t warm_start_cache(core::ShardedPredictionCache* cache,
                                     const std::string& path) {
+  // Chaos sites: cache.load simulates the snapshot file being unreadable
+  // (I/O error, permission flip), cache.parse a record-level corruption
+  // the checksum missed. Each fires at most once per call, and both
+  // degrade to the cold start below.
   runtime::FaultInjector& faults = runtime::FaultInjector::global();
   if (faults.should_fail("cache.load")) {
     LOG_WARN << "cache snapshot: injected load fault for " << path
@@ -109,37 +68,26 @@ inline std::size_t warm_start_cache(core::ShardedPredictionCache* cache,
     return 0;
   }
   const MmapSnapshot::OpenResult mapped = MmapSnapshot::open(path);
-  if (mapped.loaded()) {
-    if (faults.should_fail("cache.parse")) {
-      LOG_WARN << "cache snapshot rejected: injected parse fault for "
-               << path << "; starting cold";
+  switch (mapped.status) {
+    case SnapshotLoadStatus::kLoaded:
+      break;
+    case SnapshotLoadStatus::kMissing:
+      LOG_INFO << "cache snapshot: " << mapped.message << "; starting cold";
       return 0;
-    }
-    cache->attach_warm_tier(
-        std::make_shared<MmapSnapshotTier>(mapped.snapshot));
-    LOG_INFO << "cache snapshot: mapped " << mapped.snapshot->count()
-             << " record(s) from " << path << " as a zero-copy warm tier";
-    return mapped.snapshot->count();
+    case SnapshotLoadStatus::kCorrupt:
+      LOG_WARN << "cache snapshot rejected: " << mapped.message
+               << "; starting cold";
+      return 0;
   }
-  const SnapshotLoadResult result = load_snapshot(path);
-  if (result.status == SnapshotLoadStatus::kLoaded &&
-      faults.should_fail("cache.parse")) {
+  if (faults.should_fail("cache.parse")) {
     LOG_WARN << "cache snapshot rejected: injected parse fault for " << path
              << "; starting cold";
     return 0;
   }
-  switch (result.status) {
-    case SnapshotLoadStatus::kLoaded:
-      return cache->import_entries(result.records);
-    case SnapshotLoadStatus::kMissing:
-      LOG_INFO << "cache snapshot: " << result.message << "; starting cold";
-      return 0;
-    case SnapshotLoadStatus::kCorrupt:
-      LOG_WARN << "cache snapshot rejected: " << result.message
-               << "; starting cold";
-      return 0;
-  }
-  return 0;
+  cache->attach_warm_tier(std::make_shared<MmapSnapshotTier>(mapped.snapshot));
+  LOG_INFO << "cache snapshot: mapped " << mapped.snapshot->count()
+           << " record(s) from " << path << " as a zero-copy warm tier";
+  return mapped.snapshot->count();
 }
 
 }  // namespace rebert::persist

@@ -2,47 +2,34 @@
 
 #include <algorithm>
 #include <cstring>
-#include <fstream>
 
 #include "persist/atomic_file.h"
-#include "persist/mmap_snapshot.h"
 #include "util/check.h"
+#include "util/fnv1a.h"
 
 namespace rebert::persist {
 
 namespace {
 
-class Fnv1a {
- public:
-  void update(const void* data, std::size_t size) {
-    const auto* bytes = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-      hash_ ^= bytes[i];
-      hash_ *= 1099511628211ULL;
-    }
-  }
-  std::uint64_t value() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 14695981039346656037ULL;
+struct __attribute__((__packed__)) Header {
+  char magic[4];
+  std::uint32_t version;
+  std::uint64_t count;
+  std::uint64_t stride;
+  std::uint64_t checksum;
 };
+static_assert(sizeof(Header) == kSnapshotHeaderBytes,
+              "RBPC header layout drifted from the format");
 
-template <typename T>
-void write_pod(std::ostream& out, Fnv1a* sum, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(value));
-  if (sum) sum->update(&value, sizeof(value));
-}
+struct __attribute__((__packed__)) Record {
+  std::uint64_t key;
+  double score;
+};
+static_assert(sizeof(Record) == kSnapshotStride,
+              "RBPC record layout drifted from the format");
 
-template <typename T>
-bool read_pod(std::istream& in, Fnv1a* sum, T* value) {
-  in.read(reinterpret_cast<char*>(value), sizeof(*value));
-  if (!in.good()) return false;
-  if (sum) sum->update(value, sizeof(*value));
-  return true;
-}
-
-SnapshotLoadResult reject(std::string message) {
-  SnapshotLoadResult result;
+MmapSnapshot::OpenResult reject(std::string message) {
+  MmapSnapshot::OpenResult result;
   result.status = SnapshotLoadStatus::kCorrupt;
   result.message = std::move(message);
   return result;
@@ -50,137 +37,159 @@ SnapshotLoadResult reject(std::string message) {
 
 }  // namespace
 
-std::uint64_t fnv1a(const void* data, std::size_t size) {
-  Fnv1a sum;
-  sum.update(data, size);
-  return sum.value();
-}
-
-std::uint64_t fnv1a_update(std::uint64_t state, const void* data,
-                           std::size_t size) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    state ^= bytes[i];
-    state *= 1099511628211ULL;
-  }
-  return state;
-}
-
 std::uint64_t fnv1a_words(const void* data, std::size_t size) {
   REBERT_CHECK_MSG(size % sizeof(std::uint64_t) == 0,
                    "fnv1a_words needs a whole number of 8-byte words, got "
                        << size << " bytes");
   const auto* bytes = static_cast<const unsigned char*>(data);
-  std::uint64_t state = kFnv1aInit;
+  std::uint64_t state = util::kFnv1aInit;
   for (std::size_t i = 0; i < size; i += sizeof(std::uint64_t)) {
-    std::uint64_t word;
+    std::uint64_t word = 0;
     std::memcpy(&word, bytes + i, sizeof(word));
     state ^= word;
-    state *= 1099511628211ULL;
+    state *= util::kFnv1aPrime;
   }
   return state;
 }
 
 void save_snapshot(std::vector<CacheRecord> records, const std::string& path) {
-  // Sorted records make the file a pure function of the cache contents —
-  // two processes that learned the same entries write identical bytes.
+  // Sorted records are both the determinism guarantee (identical caches ->
+  // identical bytes) and the lookup index: the mapped table is
+  // binary-searched in place. Duplicate keys collapse to their first
+  // record — strict key order is the validator's search invariant.
   std::sort(records.begin(), records.end());
+  records.erase(std::unique(records.begin(), records.end(),
+                            [](const CacheRecord& a, const CacheRecord& b) {
+                              return a.first == b.first;
+                            }),
+                records.end());
+
+  std::string table;
+  table.reserve(records.size() * kSnapshotStride);
+  for (const CacheRecord& record : records) {
+    Record packed{record.first, record.second};
+    table.append(reinterpret_cast<const char*>(&packed), sizeof(packed));
+  }
+
+  Header header{};
+  std::memcpy(header.magic, kSnapshotMagic, sizeof(kSnapshotMagic));
+  header.version = kSnapshotVersion;
+  header.count = records.size();
+  header.stride = kSnapshotStride;
+  header.checksum = fnv1a_words(table.data(), table.size());
 
   AtomicFileWriter writer(path);
   std::ostream& out = writer.stream();
-  out.write(kSnapshotMagic, sizeof(kSnapshotMagic));
-  write_pod(out, nullptr, kSnapshotVersion);
-  Fnv1a sum;
-  write_pod(out, &sum, static_cast<std::uint64_t>(records.size()));
-  for (const CacheRecord& record : records) {
-    write_pod(out, &sum, record.first);
-    write_pod(out, &sum, record.second);
-  }
-  write_pod(out, nullptr, sum.value());
+  out.write(reinterpret_cast<const char*>(&header), sizeof(header));
+  out.write(table.data(), static_cast<std::streamsize>(table.size()));
   writer.commit();
 }
 
-SnapshotLoadResult load_snapshot(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) {
-    SnapshotLoadResult result;
+MmapSnapshot::OpenResult MmapSnapshot::open(const std::string& path) {
+  auto snapshot = std::shared_ptr<MmapSnapshot>(new MmapSnapshot());
+  std::string io_error;
+  if (!snapshot->file_.open(path, &io_error)) {
+    OpenResult result;
     result.status = SnapshotLoadStatus::kMissing;
-    result.message = "no snapshot at " + path;
+    result.message = io_error;
     return result;
   }
 
-  // Sizes first: a corrupt record count must not drive a giant allocation
-  // or a long read loop — the arithmetic proves truncation up front.
-  in.seekg(0, std::ios::end);
-  const std::uint64_t file_size = static_cast<std::uint64_t>(in.tellg());
-  in.seekg(0, std::ios::beg);
-
-  constexpr std::uint64_t kHeaderBytes =
-      sizeof(kSnapshotMagic) + sizeof(std::uint32_t) + sizeof(std::uint64_t);
-  constexpr std::uint64_t kRecordBytes = sizeof(std::uint64_t) + sizeof(double);
-  constexpr std::uint64_t kChecksumBytes = sizeof(std::uint64_t);
-  if (file_size < kHeaderBytes + kChecksumBytes)
-    return reject(path + " is too small (" + std::to_string(file_size) +
+  const auto too_small = [&] {
+    return reject(path + " is too small (" +
+                  std::to_string(snapshot->file_.size()) +
                   " bytes) to be a cache snapshot");
-
-  char magic[sizeof(kSnapshotMagic)];
-  in.read(magic, sizeof(magic));
-  if (!in.good() || !std::equal(magic, magic + sizeof(magic), kSnapshotMagic))
-    return reject(path + " is not a cache snapshot (bad magic)");
-
+  };
+  // Magic and version come first, so a snapshot from another format
+  // generation is named as such even when it is shorter than this
+  // version's header.
+  char magic[sizeof(kSnapshotMagic)] = {};
   std::uint32_t version = 0;
-  if (!read_pod(in, nullptr, &version))
-    return reject(path + ": truncated header");
-  if (version == kSnapshotVersionMmap) {
-    // v2 is the mmap layout: delegate to its validator (bounds, stride,
-    // checksum, key order all proven there) and materialize its records
-    // for this stream-shaped API.
-    in.close();
-    const MmapSnapshot::OpenResult mapped = MmapSnapshot::open(path);
-    if (!mapped.loaded()) return reject(mapped.message);
-    SnapshotLoadResult result;
-    result.records.reserve(mapped.snapshot->count());
-    for (std::size_t i = 0; i < mapped.snapshot->count(); ++i)
-      result.records.push_back(mapped.snapshot->record(i));
-    result.status = SnapshotLoadStatus::kLoaded;
-    return result;
-  }
+  if (!snapshot->file_.read(0, &magic) ||
+      !snapshot->file_.read(sizeof(magic), &version))
+    return too_small();
+  if (std::memcmp(magic, kSnapshotMagic, sizeof(kSnapshotMagic)) != 0)
+    return reject(path + " is not a cache snapshot (bad magic)");
   if (version != kSnapshotVersion)
     return reject(path + ": unsupported snapshot version " +
-                  std::to_string(version) + " (this build reads versions " +
-                  std::to_string(kSnapshotVersion) + " and " +
-                  std::to_string(kSnapshotVersionMmap) + ")");
+                  std::to_string(version) + " (this build reads version " +
+                  std::to_string(kSnapshotVersion) + ")");
 
-  Fnv1a sum;
-  std::uint64_t count = 0;
-  if (!read_pod(in, &sum, &count))
-    return reject(path + ": truncated header");
-  const std::uint64_t expected =
-      kHeaderBytes + count * kRecordBytes + kChecksumBytes;
-  if (file_size != expected)
-    return reject(path + ": expected " + std::to_string(expected) +
-                  " bytes for " + std::to_string(count) + " record(s), file has " +
-                  std::to_string(file_size) + " (truncated or trailing garbage)");
+  Header header{};
+  if (!snapshot->file_.read(0, &header)) return too_small();
+  if (header.stride != kSnapshotStride)
+    return reject(path + ": record stride " + std::to_string(header.stride) +
+                  " does not match this build's " +
+                  std::to_string(kSnapshotStride) +
+                  "-byte records (layout skew)");
+  // The size arithmetic proves the whole table is inside the mapping
+  // before any record is touched; the multiply is overflow-checked by
+  // dividing the space that is actually there.
+  const std::size_t available = snapshot->file_.size() - kSnapshotHeaderBytes;
+  if (header.count > available / kSnapshotStride ||
+      header.count * kSnapshotStride != available)
+    return reject(path + ": expected " + std::to_string(header.count) +
+                  " record(s) of " + std::to_string(kSnapshotStride) +
+                  " bytes after the header, file has " +
+                  std::to_string(available) +
+                  " bytes (truncated or trailing garbage)");
 
-  SnapshotLoadResult result;
-  result.records.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    CacheRecord record;
-    if (!read_pod(in, &sum, &record.first) ||
-        !read_pod(in, &sum, &record.second))
-      return reject(path + ": truncated at record " + std::to_string(i) +
-                    " of " + std::to_string(count));
-    result.records.push_back(record);
-  }
-
-  std::uint64_t stored_sum = 0;
-  if (!read_pod(in, nullptr, &stored_sum))
-    return reject(path + ": truncated checksum");
-  if (stored_sum != sum.value())
+  const unsigned char* table = snapshot->file_.bytes(
+      kSnapshotHeaderBytes, header.count * kSnapshotStride);
+  if (table == nullptr)  // unreachable after the arithmetic above
+    return reject(path + ": record table out of bounds");
+  if (fnv1a_words(table, header.count * kSnapshotStride) != header.checksum)
     return reject(path + ": checksum mismatch (file is corrupt)");
 
+  // Key order is the binary-search invariant; a file that lies about it
+  // would serve wrong answers, so it is corrupt, not merely slow.
+  std::uint64_t previous = 0;
+  for (std::size_t i = 0; i < header.count; ++i) {
+    std::uint64_t key = 0;
+    std::memcpy(&key, table + i * kSnapshotStride, sizeof(key));
+    if (i > 0 && key <= previous)
+      return reject(path + ": record keys out of order at index " +
+                    std::to_string(i));
+    previous = key;
+  }
+
+  snapshot->table_ = table;
+  snapshot->count_ = static_cast<std::size_t>(header.count);
+  OpenResult result;
   result.status = SnapshotLoadStatus::kLoaded;
+  result.snapshot = std::move(snapshot);
   return result;
+}
+
+bool MmapSnapshot::lookup(std::uint64_t key, double* score) const {
+  std::size_t lo = 0;
+  std::size_t hi = count_;
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    std::uint64_t mid_key = 0;
+    std::memcpy(&mid_key, table_ + mid * kSnapshotStride, sizeof(mid_key));
+    if (mid_key == key) {
+      if (score != nullptr)
+        std::memcpy(score, table_ + mid * kSnapshotStride + sizeof(key),
+                    sizeof(*score));
+      return true;
+    }
+    if (mid_key < key) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return false;
+}
+
+CacheRecord MmapSnapshot::record(std::size_t index) const {
+  Record packed{};
+  std::memcpy(&packed, table_ + index * kSnapshotStride, sizeof(packed));
+  // Copies, not references: a packed field has no addressable alignment.
+  const std::uint64_t key = packed.key;
+  const double score = packed.score;
+  return {key, score};
 }
 
 }  // namespace rebert::persist

@@ -63,27 +63,6 @@ void PredictionCache::insert(std::uint64_t key, double score) {
   entries_.emplace(key, score);
 }
 
-std::vector<std::pair<std::uint64_t, double>>
-PredictionCache::export_entries() const {
-  std::vector<std::pair<std::uint64_t, double>> out(entries_.begin(),
-                                                    entries_.end());
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-std::size_t PredictionCache::import_entries(
-    const std::vector<std::pair<std::uint64_t, double>>& entries) {
-  std::size_t inserted = 0;
-  for (const auto& [key, score] : entries)
-    if (entries_.emplace(key, score).second) ++inserted;
-  return inserted;
-}
-
-void PredictionCache::clear() {
-  entries_.clear();
-  stats_.reset();
-}
-
 ShardedPredictionCache::ShardedPredictionCache(int shards) {
   if (shards <= 0) shards = 64;
   const std::uint64_t n =
@@ -182,17 +161,6 @@ void ShardedPredictionCache::attach_warm_tier(
   const ScoreTier* raw = tier.get();
   if (tier != nullptr) tier_owners_.push_back(std::move(tier));
   warm_tier_.store(raw, std::memory_order_release);
-}
-
-std::size_t ShardedPredictionCache::import_entries(
-    const std::vector<std::pair<std::uint64_t, double>>& entries) {
-  std::size_t inserted = 0;
-  for (const auto& [key, score] : entries) {
-    Shard& shard = shard_for(key);
-    util::MutexLock lock(shard.mu);
-    if (shard.entries.emplace(key, score).second) ++inserted;
-  }
-  return inserted;
 }
 
 void ShardedPredictionCache::clear() {

@@ -10,15 +10,17 @@
 // (ablation_cache) measures the effect; on template-rich circuits the hit
 // rate is high.
 //
-// Two implementations share the key scheme:
-//   * PredictionCache — single-map cache for serial pipelines. Its
-//     hit/miss statistics are atomic (lookup is const and may be called
-//     from several readers), but the map itself is NOT thread-safe.
-//   * ShardedPredictionCache — mutex-striped cache for the concurrent
-//     runtime: the key space is split across kShards independent maps,
-//     each behind its own mutex, so parallel scorers rarely contend on
-//     the same lock. insert() of the same key from two threads is benign:
-//     inference is deterministic, so both write the same score.
+// ShardedPredictionCache is the cache every pipeline, the serving engine
+// and the warm start use: the key space is split across mutex-striped
+// shards, so parallel scorers rarely contend on the same lock, and a
+// mapped RBPC snapshot can sit beneath the shards as a read-only warm
+// tier. insert() of the same key from two threads is benign: inference is
+// deterministic, so both write the same score.
+//
+// PredictionCache is the minimal serial map — key_of (the key scheme both
+// share), lookup, insert and counters — that the benchmark's traced
+// per-pair run (benchmark/recover.cc) counts its lookups with. Its map is
+// NOT thread-safe.
 #pragma once
 
 #include <atomic>
@@ -35,7 +37,7 @@ namespace rebert::core {
 
 namespace detail {
 
-/// Saturating hit/miss counters shared by both cache flavours. Increments
+/// Saturating hit/miss counters shared by both caches. Increments
 /// are relaxed atomics (counters only feed statistics, never control
 /// flow); totals saturate instead of wrapping so hit_rate() stays
 /// meaningful even on absurdly long-lived servers.
@@ -85,7 +87,7 @@ class CacheStats {
 
 /// A read-only score source layered beneath ShardedPredictionCache's
 /// mutable shards — the hook the zero-copy warm start plugs into: a
-/// mapped RBPC v2 snapshot (persist/mmap_snapshot.h) implements this and
+/// mapped RBPC snapshot (persist/snapshot.h) implements this and
 /// serves historical scores straight off its mapping, so a restarted
 /// engine is warm without materializing a single record. Implementations
 /// must be safe for concurrent lookup() calls and immutable for the
@@ -118,17 +120,6 @@ class PredictionCache {
   std::size_t size() const { return entries_.size(); }
   std::uint64_t hits() const { return stats_.hits(); }
   std::uint64_t misses() const { return stats_.misses(); }
-  double hit_rate() const { return stats_.hit_rate(); }
-
-  /// All entries sorted by key — what persist::save_cache snapshots.
-  std::vector<std::pair<std::uint64_t, double>> export_entries() const;
-
-  /// Warm-start: insert snapshot records (existing keys keep their value,
-  /// statistics untouched). Returns the number of records inserted.
-  std::size_t import_entries(
-      const std::vector<std::pair<std::uint64_t, double>>& entries);
-
-  void clear();
 
  private:
   mutable detail::CacheStats stats_;
@@ -153,16 +144,10 @@ class ShardedPredictionCache {
   std::uint64_t misses() const { return stats_.misses(); }
   double hit_rate() const { return stats_.hit_rate(); }
 
-  /// All entries across shards, sorted by key. Shard-agnostic: a snapshot
-  /// exported at one shard count imports at any other (or into the serial
-  /// PredictionCache) — records carry no shard structure.
+  /// All entries across shards and the warm tier, sorted by key — what
+  /// persist::save_cache snapshots. Shard-agnostic: records carry no shard
+  /// structure, so a snapshot taken at one shard count warms any other.
   std::vector<std::pair<std::uint64_t, double>> export_entries() const;
-
-  /// Warm-start from snapshot records; each key lands in its own shard.
-  /// Existing keys keep their value, statistics are untouched. Returns the
-  /// number of records inserted. Thread-safe like every other method.
-  std::size_t import_entries(
-      const std::vector<std::pair<std::uint64_t, double>>& entries);
 
   /// Attach a read-only warm tier consulted after a shard miss (a tier
   /// hit counts as a cache hit, so warmed keys are never re-scored or

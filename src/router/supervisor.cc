@@ -11,6 +11,7 @@
 
 #include "util/backoff.h"
 #include "util/check.h"
+#include "util/fnv1a.h"
 #include "util/logging.h"
 
 namespace rebert::router {
@@ -98,7 +99,7 @@ int BackendSupervisor::poll_once() {
         // staggered, yet every run replays the same stagger.
         backoff = util::apply_backoff_jitter(
             static_cast<int>(backoff),
-            util::fnv1a64(worker.name.data(), worker.name.size()),
+            util::fnv1a(worker.name.data(), worker.name.size()),
             static_cast<std::uint64_t>(worker.consecutive_failures),
             options_.restart_jitter_pct);
         worker.respawn_after =

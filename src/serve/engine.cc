@@ -385,9 +385,9 @@ EngineStats InferenceEngine::stats() const {
 }
 
 std::size_t InferenceEngine::load_cache(const std::string& path) {
-  // v2 snapshots attach as a zero-copy warm tier (validate + mmap, no
-  // materialization); v1 snapshots stream-import as before. Either way a
-  // missing/corrupt file warms nothing and serving starts cold.
+  // The snapshot attaches as a zero-copy warm tier (validate + mmap, no
+  // materialization); a missing/corrupt file warms nothing and serving
+  // starts cold.
   const std::size_t loaded = persist::warm_start_cache(&cache_, path);
   warm_entries_.fetch_add(loaded, std::memory_order_relaxed);
   if (loaded > 0) {

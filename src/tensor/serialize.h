@@ -1,8 +1,9 @@
 // Binary parameter serialization.
 //
 // Format (little-endian):
-//   magic "RBTW", u32 version, u32 param_count, then per parameter:
-//   u32 name_len, name bytes, u32 rank, u32 dims..., f32 data...
+//   magic "RBTW", u32 version (2), u32 param_count, then per parameter:
+//   u32 name_len, name bytes, u32 rank, u32 dims..., f32 data...;
+//   then a u64 FNV-1a checksum over everything after the version field.
 // Loading matches parameters by name and requires identical shapes, so a
 // checkpoint written by one model configuration cannot be silently loaded
 // into another.

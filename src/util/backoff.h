@@ -12,7 +12,8 @@
 // (seed, sequence), where the seed identifies the waiter (client
 // connection, supervised worker) and the sequence numbers its attempts.
 // Two waiters with different seeds spread out; one waiter replays
-// identically every run.
+// identically every run. A waiter identified by a name (socket path,
+// worker name) rather than a number hashes it with util::fnv1a.
 #pragma once
 
 #include <cstdint>
@@ -27,17 +28,6 @@ inline std::uint64_t splitmix64(std::uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
-}
-
-/// FNV-1a over a byte string — the seed derivation used when a waiter is
-/// identified by a name (socket path, worker name) rather than a number.
-inline std::uint64_t fnv1a64(const char* data, std::uint64_t len) {
-  std::uint64_t h = 14695981039346656037ULL;
-  for (std::uint64_t i = 0; i < len; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 1099511628211ULL;
-  }
-  return h;
 }
 
 /// `backoff_ms` stretched by a deterministic jitter in

@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "util/check.h"
+#include "util/fnv1a.h"
 
 namespace rebert::wire {
 
@@ -39,16 +40,6 @@ std::string encode_hello_frame(FrameType type) {
 
 }  // namespace
 
-std::uint64_t fnv1a(const void* data, std::size_t size) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  std::uint64_t hash = 14695981039346656037ULL;
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= bytes[i];
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
-
 std::string encode_frame(FrameType type, std::string_view payload) {
   REBERT_CHECK_MSG(payload.size() <= kMaxFramePayload,
                    "wire frame payload of " + std::to_string(payload.size()) +
@@ -59,7 +50,7 @@ std::string encode_frame(FrameType type, std::string_view payload) {
   header.type = static_cast<std::uint8_t>(type);
   header.reserved = 0;
   header.payload_len = static_cast<std::uint32_t>(payload.size());
-  header.checksum = fnv1a(payload.data(), payload.size());
+  header.checksum = util::fnv1a(payload.data(), payload.size());
   std::string frame;
   frame.reserve(sizeof(header) + payload.size());
   frame.append(reinterpret_cast<const char*>(&header), sizeof(header));
@@ -104,7 +95,7 @@ FrameReader::Status FrameReader::next(Frame* frame, std::string* error) {
   if (buffer_.size() < total) return Status::kNeedMore;
 
   const char* payload = buffer_.data() + kFrameHeaderBytes;
-  if (fnv1a(payload, header.payload_len) != header.checksum)
+  if (util::fnv1a(payload, header.payload_len) != header.checksum)
     return fail("frame checksum mismatch (corrupt payload)", error);
 
   frame->type = static_cast<FrameType>(header.type);

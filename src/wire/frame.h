@@ -47,10 +47,6 @@ enum class FrameType : std::uint8_t {
   kError = 5,     // protocol-level failure; payload is a text diagnosis
 };
 
-/// FNV-1a over `size` bytes — the same hash the RBPC snapshot trailer
-/// uses, so one implementation is testable against the other.
-std::uint64_t fnv1a(const void* data, std::size_t size);
-
 /// One decoded, checksum-verified frame. `raw` is the exact frame bytes
 /// (header + payload) as they appeared on the stream — what the router
 /// forwards verbatim so a relay never re-encodes.

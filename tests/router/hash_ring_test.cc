@@ -144,6 +144,7 @@ TEST(HashRingTest, HashIsStable) {
   // Pin the hash function (FNV-1a + murmur3 finalizer): silent changes
   // would silently remap every deployed key range.
   EXPECT_EQ(HashRing::hash(""), 17280346270528514342ULL);
+  EXPECT_EQ(HashRing::hash("b03"), 2736969556144420978ULL);
   EXPECT_EQ(HashRing::hash("a"), HashRing::hash("a"));
   EXPECT_NE(HashRing::hash("a"), HashRing::hash("b"));
 }

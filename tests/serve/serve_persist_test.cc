@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -16,6 +17,7 @@
 #include "serve/client.h"
 #include "serve/engine.h"
 #include "serve/serve_loop.h"
+#include "util/fnv1a.h"
 #include "util/string_utils.h"
 
 namespace rebert::serve {
@@ -84,6 +86,43 @@ TEST(ServePersistTest, CorruptSnapshotStartsColdWithoutCrashing) {
   EXPECT_EQ(engine.load_cache(path), 0u);
   EXPECT_EQ(engine.stats().warm_entries, 0u);
   // Still serves.
+  const std::vector<std::string> bits = engine.bit_names("b03");
+  const double score = engine.score("b03", bits[0], bits[1]);
+  EXPECT_GE(score, 0.0);
+  EXPECT_LE(score, 1.0);
+  std::remove(path.c_str());
+}
+
+TEST(ServePersistTest, V1SnapshotStartsColdNamingTheVersion) {
+  // A well-formed v1 snapshot as older builds wrote it (magic, u32
+  // version 1, u64 count, records, byte-wise FNV-1a over count + records)
+  // is version skew: the engine starts cold with a warning naming the
+  // version, and keeps serving.
+  std::string body;
+  const std::uint64_t count = 1;
+  const std::uint64_t key = 42;
+  const double value = 0.5;
+  body.append(reinterpret_cast<const char*>(&count), sizeof(count));
+  body.append(reinterpret_cast<const char*>(&key), sizeof(key));
+  body.append(reinterpret_cast<const char*>(&value), sizeof(value));
+  const std::uint32_t version = 1;
+  const std::uint64_t checksum = util::fnv1a(body.data(), body.size());
+  const std::string path = temp_path("warm_v1.rbpc");
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write("RBPC", 4);
+    out.write(reinterpret_cast<const char*>(&version), sizeof(version));
+    out.write(body.data(), static_cast<std::streamsize>(body.size()));
+    out.write(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
+  }
+  InferenceEngine engine(small_options(1, 4));
+  ::testing::internal::CaptureStderr();
+  std::size_t warmed = 1;
+  EXPECT_NO_THROW(warmed = engine.load_cache(path));
+  const std::string log = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(warmed, 0u);
+  EXPECT_EQ(engine.stats().warm_entries, 0u);
+  EXPECT_NE(log.find("version 1"), std::string::npos) << log;
   const std::vector<std::string> bits = engine.bit_names("b03");
   const double score = engine.score("b03", bits[0], bits[1]);
   EXPECT_GE(score, 0.0);

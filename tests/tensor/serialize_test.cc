@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 
 #include "util/check.h"
+#include "util/fnv1a.h"
 #include "util/rng.h"
 
 namespace rebert::tensor {
@@ -13,6 +16,47 @@ namespace {
 
 std::string temp_path(const char* name) {
   return ::testing::TempDir() + "/" + name;
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+void spit(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+void append_u32(std::string* out, std::uint32_t value) {
+  out->append(reinterpret_cast<const char*>(&value), sizeof(value));
+}
+
+/// A version-2 checkpoint around `body` with a valid checksum trailer: what
+/// a crafted file looks like, since FNV-1a is no MAC.
+std::string checksummed_checkpoint(const std::string& body) {
+  std::string file = "RBTW";
+  append_u32(&file, 2);
+  file += body;
+  const std::uint64_t checksum = util::fnv1a(body.data(), body.size());
+  file.append(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
+  return file;
+}
+
+/// Loading `path` must throw the located truncation error for `what`.
+void expect_located_truncation(const std::string& path, const char* what) {
+  Parameter w("w", Tensor({2}));
+  try {
+    load_parameters({&w}, path);
+    FAIL() << "expected CheckError";
+  } catch (const util::CheckError& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("truncated checkpoint"), std::string::npos)
+        << message;
+    EXPECT_NE(message.find(what), std::string::npos) << message;
+    EXPECT_NE(message.find("at offset"), std::string::npos) << message;
+  }
 }
 
 TEST(SerializeTest, RoundTrip) {
@@ -156,6 +200,78 @@ TEST(SerializeTest, TruncatedFileRejected) {
   out.close();
   Parameter a2("w", Tensor({16, 16}));
   EXPECT_THROW(load_parameters({&a2}, path), util::CheckError);
+  std::remove(path.c_str());
+}
+
+TEST(SerializeTest, V1CheckpointRejectedNamingTheVersion) {
+  util::Rng rng(9);
+  Parameter a("w", Tensor::randn({2}, rng));
+  const std::string path = temp_path("ckpt_v1.bin");
+  save_parameters({&a}, path);
+  std::string bytes = slurp(path);
+  bytes[4] = 1;  // u32 version field
+  spit(path, bytes);
+  Parameter a2("w", Tensor({2}));
+  try {
+    load_parameters({&a2}, path);
+    FAIL() << "expected CheckError";
+  } catch (const util::CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("version 1"), std::string::npos) << what;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(SerializeTest, HugeNameLengthRejectedBeforeAllocating) {
+  // A checksum-valid file declaring a 4 GiB name must fail on the bytes
+  // left, not by sizing a buffer from the declared length.
+  std::string body;
+  append_u32(&body, 1);            // parameter count
+  append_u32(&body, 0xFFFFFFFFu);  // name length
+  body += "w";
+  const std::string path = temp_path("ckpt_huge_name.bin");
+  spit(path, checksummed_checkpoint(body));
+  expect_located_truncation(path, "parameter name");
+  std::remove(path.c_str());
+}
+
+TEST(SerializeTest, HugeRankRejectedBeforeAllocating) {
+  // Same for a rank of 2^32 - 1 dims (16 GiB of shape).
+  std::string body;
+  append_u32(&body, 1);  // parameter count
+  append_u32(&body, 1);  // name length
+  body += "w";
+  append_u32(&body, 0xFFFFFFFFu);  // rank
+  append_u32(&body, 2);            // one real dim
+  const std::string path = temp_path("ckpt_huge_rank.bin");
+  spit(path, checksummed_checkpoint(body));
+  expect_located_truncation(path, "tensor shape");
+  std::remove(path.c_str());
+}
+
+TEST(SerializeTest, RepeatedParameterRejected) {
+  // A file that names one parameter twice and omits another must not pass
+  // the coverage check by counting the repeat.
+  std::string body;
+  append_u32(&body, 2);  // parameter count
+  for (int copy = 0; copy < 2; ++copy) {
+    append_u32(&body, 1);  // name length
+    body += "a";
+    append_u32(&body, 1);  // rank
+    append_u32(&body, 1);  // dim
+    const float value = 7.0f;
+    body.append(reinterpret_cast<const char*>(&value), sizeof(value));
+  }
+  const std::string path = temp_path("ckpt_repeat.bin");
+  spit(path, checksummed_checkpoint(body));
+  Parameter a("a", Tensor({1})), b("b", Tensor({1}));
+  try {
+    load_parameters({&a, &b}, path);
+    FAIL() << "expected CheckError";
+  } catch (const util::CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("repeats parameter 'a'"), std::string::npos) << what;
+  }
   std::remove(path.c_str());
 }
 

@@ -8,6 +8,7 @@
 #include <set>
 
 #include "util/backoff.h"
+#include "util/fnv1a.h"
 
 namespace rebert::util {
 namespace {
@@ -64,11 +65,14 @@ TEST(BackoffJitterTest, DegenerateInputsPassThrough) {
 TEST(BackoffHashTest, Fnv1a64MatchesKnownVectors) {
   // Standard FNV-1a 64-bit test vectors; the seed derivation for client
   // jitter must stay stable across builds.
-  EXPECT_EQ(fnv1a64("", 0), 14695981039346656037ULL);
-  EXPECT_EQ(fnv1a64("a", 1), 12638187200555641996ULL);
+  EXPECT_EQ(fnv1a("", 0), 14695981039346656037ULL);
+  EXPECT_EQ(fnv1a("a", 1), 12638187200555641996ULL);
+  EXPECT_EQ(fnv1a("rebert", 6), 5956683382921346639ULL);
   const char* abc = "abc";
-  EXPECT_EQ(fnv1a64(abc, 3), fnv1a64(abc, 3));
-  EXPECT_NE(fnv1a64("abc", 3), fnv1a64("abd", 3));
+  EXPECT_EQ(fnv1a(abc, 3), fnv1a(abc, 3));
+  EXPECT_NE(fnv1a("abc", 3), fnv1a("abd", 3));
+  // The streaming form chains: hashing "reb" then "ert" is "rebert".
+  EXPECT_EQ(fnv1a("ert", 3, fnv1a("reb", 3)), fnv1a("rebert", 6));
 }
 
 TEST(BackoffHashTest, Splitmix64IsStable) {

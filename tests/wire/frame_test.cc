@@ -10,7 +10,7 @@
 #include <cstring>
 #include <string>
 
-#include "persist/snapshot.h"
+#include "util/fnv1a.h"
 #include "util/check.h"
 #include "wire/frame.h"
 
@@ -198,14 +198,17 @@ TEST(FrameTest, HelloPayloadValidation) {
   EXPECT_NE(error.find("tag"), std::string::npos) << error;
 }
 
-TEST(FrameTest, Fnv1aMatchesThePersistImplementation) {
-  // The wire and persist layers each keep a leaf-local FNV-1a; this pins
-  // them to the same function so a checksum computed by one side always
-  // verifies on the other.
+TEST(FrameTest, ChecksumIsPinnedFnv1a) {
+  // The frame checksum is FNV-1a over the payload; pinning it to known
+  // values keeps frames from peers built before or after any refactor of
+  // the hash verifiable.
   const std::string data = "the quick brown fox jumps over the lazy dog";
-  EXPECT_EQ(fnv1a(data.data(), data.size()),
-            persist::fnv1a(data.data(), data.size()));
-  EXPECT_EQ(fnv1a(nullptr, 0), persist::kFnv1aInit);
+  EXPECT_EQ(util::fnv1a(data.data(), data.size()), 8360034000264797104ULL);
+  EXPECT_EQ(util::fnv1a(nullptr, 0), 14695981039346656037ULL);
+  const std::string frame = encode_frame(FrameType::kRequest, data);
+  std::uint64_t checksum = 0;
+  std::memcpy(&checksum, frame.data() + 8, sizeof(checksum));
+  EXPECT_EQ(checksum, 8360034000264797104ULL);
 }
 
 }  // namespace

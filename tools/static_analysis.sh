@@ -55,9 +55,12 @@
 #      backends behind one socket; requests relay through the router,
 #      then one backend is SIGKILLed and traffic must still be answered
 #      (reroute to the survivor, or the supervisor's respawn).
-#   8. Binary warm-start kill drill: snapshots + SIGKILL + supervisor
-#      respawn; the respawned backend's first answer must already be warm
-#      from the mmap tier (warm_entries > 0, cache_misses = 0).
+#   8. Warm-start drills. CLI: `rebert_cli recover --cache-file` run twice
+#      on one snapshot — the second run must warm-start N > 0 entries,
+#      answer with 100% cache hits and print the same words. Binary kill
+#      drill: snapshots + SIGKILL + supervisor respawn; the respawned
+#      backend's first answer must already be warm from the mmap tier
+#      (warm_entries > 0, cache_misses = 0).
 #   8b. Replica failover smoke: route at --replicas 2, prime a score
 #      through the router so the mirror queue warms the secondary, then
 #      SIGKILL the bench's primary — the resend must answer ok with ZERO
@@ -422,10 +425,45 @@ if [ "$RUN_SHARDED" -eq 1 ]; then
   fi
 fi
 
+# ---- 8. CLI warm start: recover --cache-file ---------------------------------
+# `rebert_cli recover --cache-file` warms through the same mapped-tier path
+# as the daemon. Two runs share one snapshot: the second must warm-start
+# N > 0 entries, score every pair from the cache, and print word lines
+# identical to the first run's.
+if [ "$RUN_SHARDED" -eq 1 ]; then
+  note "recover --cache-file warm start (cold run, then warm run)"
+  ensure_cli || exit 1
+  RWORK=$(mktemp -d)
+  RECOVER_ERRORS=0
+  "$CLI" gen --bench b05 --out "$RWORK/b05.bench" >/dev/null 2>&1 \
+    || { echo "FAIL: gen --bench b05"; RECOVER_ERRORS=$((RECOVER_ERRORS + 1)); }
+  for run in cold warm; do
+    "$CLI" recover --in "$RWORK/b05.bench" --cache-file "$RWORK/cache.rbpc" \
+      > "$RWORK/$run.out" 2>&1 \
+      || { echo "FAIL: $run recover exited non-zero"; RECOVER_ERRORS=$((RECOVER_ERRORS + 1)); }
+    grep '^  word' "$RWORK/$run.out" > "$RWORK/$run.words"
+  done
+  grep -v '^  word' "$RWORK/warm.out"
+  WARMED=$(sed -n 's/^cache: warm-started \([0-9]*\) entries.*/\1/p' "$RWORK/warm.out")
+  [ "${WARMED:-0}" -gt 0 ] 2>/dev/null \
+    || { echo "FAIL: warm run warm-started ${WARMED:-no} entries"; RECOVER_ERRORS=$((RECOVER_ERRORS + 1)); }
+  grep -q '100% cache hits' "$RWORK/warm.out" \
+    || { echo "FAIL: warm run did not score every pair from the cache"; RECOVER_ERRORS=$((RECOVER_ERRORS + 1)); }
+  [ -s "$RWORK/cold.words" ] && cmp -s "$RWORK/cold.words" "$RWORK/warm.words" \
+    || { echo "FAIL: warm run's words differ from the cold run's"; RECOVER_ERRORS=$((RECOVER_ERRORS + 1)); }
+  rm -rf "$RWORK"
+  if [ "$RECOVER_ERRORS" -eq 0 ]; then
+    echo "recover --cache-file warm start passed"
+    record recover-warm-start PASS
+  else
+    record recover-warm-start FAIL
+  fi
+fi
+
 # ---- 8. binary warm-start kill drill ----------------------------------------
 # The O(1) warm-start acceptance drill, all traffic over the binary wire
 # protocol: a supervised fleet snapshots each backend's cache to its own
-# RBPC v2 file after every request. One backend is primed, SIGKILLed, and
+# RBPC file after every request. One backend is primed, SIGKILLed, and
 # respawned by the supervisor — and its FIRST answer must already be warm:
 # stats polled before any score/recover reaches it have to show
 # warm_entries > 0 (the mmap tier attached at boot) with cache_misses = 0
