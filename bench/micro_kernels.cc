@@ -190,24 +190,61 @@ void register_backend_benchmarks() {
   }
 }
 
+/// b05's bit sequences and an untrained eval-profile model, shared by the
+/// pair-prediction rows.
+struct PairPredictionSetup {
+  PairPredictionSetup()
+      : tokenizer({.backtrace_depth = 6, .tree_code_dim = 16,
+                   .max_seq_len = 256}),
+        sequences(tokenizer.tokenize_bits(circuit_b05().netlist)),
+        model(config()) {}
+
+  static bert::BertConfig config() {
+    bert::BertConfig config = bert::eval_config(32, 256);
+    config.tree_code_dim = 16;
+    return config;
+  }
+
+  /// The i-th pair of the fixed pair stream both rows walk.
+  bert::EncodedSequence pair(std::size_t i) const {
+    return tokenizer.encode_pair(sequences[i % sequences.size()],
+                                 sequences[(i + 3) % sequences.size()]);
+  }
+
+  core::Tokenizer tokenizer;
+  std::vector<core::BitSequence> sequences;
+  bert::BertPairClassifier model;
+};
+
 void BM_PairPrediction(benchmark::State& state) {
-  const auto& circuit = circuit_b05();
-  const core::Tokenizer tokenizer(
-      {.backtrace_depth = 6, .tree_code_dim = 16, .max_seq_len = 256});
-  const auto sequences = tokenizer.tokenize_bits(circuit.netlist);
-  bert::BertConfig config = bert::eval_config(32, 256);
-  config.tree_code_dim = 16;
-  bert::BertPairClassifier model(config);
+  const PairPredictionSetup setup;
   std::size_t i = 0;
   for (auto _ : state) {
-    const auto pair = tokenizer.encode_pair(
-        sequences[i % sequences.size()],
-        sequences[(i + 3) % sequences.size()]);
-    benchmark::DoNotOptimize(model.predict_same_word_probability(pair));
-    ++i;
+    const auto pair = setup.pair(i++);
+    benchmark::DoNotOptimize(setup.model.predict_same_word_probability(pair));
   }
+  state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_PairPrediction);
+
+/// The same pair stream scored range(0) pairs per stacked batched call;
+/// items/s is forwards/s, comparable with BM_PairPrediction's.
+void BM_PairPredictionBatched(benchmark::State& state) {
+  const PairPredictionSetup setup;
+  const std::size_t batch = static_cast<std::size_t>(state.range(0));
+  std::vector<bert::EncodedSequence> pairs(batch);
+  std::vector<const bert::EncodedSequence*> inputs;
+  for (const bert::EncodedSequence& pair : pairs) inputs.push_back(&pair);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    for (bert::EncodedSequence& pair : pairs) pair = setup.pair(i++);
+    benchmark::DoNotOptimize(
+        setup.model.predict_same_word_probabilities(inputs));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(batch));
+}
+BENCHMARK(BM_PairPredictionBatched)->Arg(16);
 
 void BM_AdjustedRandIndex(benchmark::State& state) {
   util::Rng rng(3);

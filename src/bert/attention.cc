@@ -51,45 +51,58 @@ Tensor MultiHeadSelfAttention::forward(const Tensor& x, Cache* cache,
   REBERT_CHECK_MSG(valid_len >= 0 && valid_len <= n,
                    "valid_len " << valid_len << " out of range for " << n);
 
-  // All per-head temporaries (Q/K/V slices, score matrices, head outputs,
-  // and on the inference path the projections themselves) live in the
-  // per-thread scratch arena: after the first forward has grown it to the
-  // working-set size, a forward makes no heap allocations beyond the
-  // returned tensor.
-  kernels::ArenaScope scope;
-  const float* qp;
-  const float* kp;
-  const float* vp;
-  if (cache) {
-    // Training path keeps the projections in the cache for backward.
-    cache->q = query_.forward(x, &cache->q_cache);
-    cache->k = key_.forward(x, &cache->k_cache);
-    cache->v = value_.forward(x, &cache->v_cache);
-    cache->probs.clear();
-    cache->probs.reserve(static_cast<std::size_t>(num_heads_));
-    qp = cache->q.data();
-    kp = cache->k.data();
-    vp = cache->v.data();
-  } else {
-    const std::size_t proj = static_cast<std::size_t>(n) * hidden;
-    float* qb = scope.floats(proj);
-    float* kb = scope.floats(proj);
-    float* vb = scope.floats(proj);
-    kernels::gemm(x.data(), query_.weight.value.data(), qb, n, hidden, hidden);
-    kernels::add_row_bias(qb, query_.bias.value.data(), n, hidden);
-    kernels::gemm(x.data(), key_.weight.value.data(), kb, n, hidden, hidden);
-    kernels::add_row_bias(kb, key_.bias.value.data(), n, hidden);
-    kernels::gemm(x.data(), value_.weight.value.data(), vb, n, hidden, hidden);
-    kernels::add_row_bias(vb, value_.bias.value.data(), n, hidden);
-    qp = qb;
-    kp = kb;
-    vp = vb;
+  if (cache == nullptr) {
+    Tensor y({n, hidden});
+    forward_rows(x.data(), {RowSpan{0, n, valid_len}}, n, y.data());
+    return y;
   }
+  // Training path keeps the projections in the cache for backward.
+  cache->q = query_.forward(x, &cache->q_cache);
+  cache->k = key_.forward(x, &cache->k_cache);
+  cache->v = value_.forward(x, &cache->v_cache);
+  cache->probs.clear();
+  cache->probs.reserve(static_cast<std::size_t>(num_heads_));
+  cache->concat = Tensor({n, hidden});
+  attend(cache->q.data(), cache->k.data(), cache->v.data(), n, valid_len,
+         cache->concat.data(), &cache->probs);
+  return output_.forward(cache->concat, &cache->out_cache);
+}
 
+void MultiHeadSelfAttention::forward_rows(const float* x,
+                                          const std::vector<RowSpan>& spans,
+                                          int rows, float* y) const {
+  const int hidden = num_heads_ * head_dim_;
+  // The projections, the per-head temporaries and the head outputs all
+  // live in the per-thread scratch arena: after the first forward has
+  // grown it to the working-set size, a forward makes no heap
+  // allocations.
+  kernels::ArenaScope scope;
+  const std::size_t block = static_cast<std::size_t>(rows) * hidden;
+  float* q = scope.floats(block);
+  float* k = scope.floats(block);
+  float* v = scope.floats(block);
+  float* concat = scope.floats(block);
+  query_.forward_rows(x, rows, q);
+  key_.forward_rows(x, rows, k);
+  value_.forward_rows(x, rows, v);
+  for (const RowSpan& span : spans) {
+    const std::size_t offset = static_cast<std::size_t>(span.row0) * hidden;
+    attend(q + offset, k + offset, v + offset, span.length, span.valid_len,
+           concat + offset, nullptr);
+  }
+  output_.forward_rows(concat, rows, y);
+}
+
+void MultiHeadSelfAttention::attend(const float* q, const float* k,
+                                    const float* v, int n, int valid_len,
+                                    float* concat,
+                                    std::vector<Tensor>* probs) const {
+  const int hidden = num_heads_ * head_dim_;
   const float inv_sqrt_d = 1.0f / std::sqrt(static_cast<float>(head_dim_));
   // -inf surrogate large enough to underflow to exactly 0 after softmax's
   // max-subtraction and exp.
   constexpr float kMaskValue = -1e9f;
+  kernels::ArenaScope scope;
   const std::size_t head_elems = static_cast<std::size_t>(n) * head_dim_;
   float* qh = scope.floats(head_elems);
   float* kh = scope.floats(head_elems);
@@ -103,12 +116,11 @@ Tensor MultiHeadSelfAttention::forward(const Tensor& x, Cache* cache,
                   static_cast<std::size_t>(head_dim_) * sizeof(float));
   };
 
-  Tensor concat({n, hidden});
   for (int h = 0; h < num_heads_; ++h) {
     const int c0 = h * head_dim_;
-    slice_head(qp, c0, qh);
-    slice_head(kp, c0, kh);
-    slice_head(vp, c0, vh);
+    slice_head(q, c0, qh);
+    slice_head(k, c0, kh);
+    slice_head(v, c0, vh);
     kernels::gemm_nt(qh, kh, scores, n, head_dim_, n);
     kernels::scale(scores, inv_sqrt_d, static_cast<std::int64_t>(n) * n);
     if (valid_len > 0 && valid_len < n) {
@@ -118,25 +130,20 @@ Tensor MultiHeadSelfAttention::forward(const Tensor& x, Cache* cache,
       }
     }
     kernels::softmax_rows(scores, n, n);
-    if (cache) {
-      Tensor probs({n, n});
-      std::memcpy(probs.data(), scores,
+    if (probs != nullptr) {
+      Tensor p({n, n});
+      std::memcpy(p.data(), scores,
                   static_cast<std::size_t>(n) * n * sizeof(float));
-      cache->probs.push_back(std::move(probs));
+      probs->push_back(std::move(p));
     }
     kernels::gemm(scores, vh, oh, n, n, head_dim_);
     // Heads own disjoint column blocks of concat, so this is a straight
     // scatter, not an accumulate.
     for (int i = 0; i < n; ++i)
-      std::memcpy(concat.data() + static_cast<std::size_t>(i) * hidden + c0,
+      std::memcpy(concat + static_cast<std::size_t>(i) * hidden + c0,
                   oh + static_cast<std::size_t>(i) * head_dim_,
                   static_cast<std::size_t>(head_dim_) * sizeof(float));
   }
-  if (cache) {
-    cache->concat = concat;
-    return output_.forward(concat, &cache->out_cache);
-  }
-  return output_.forward(concat, nullptr);
 }
 
 Tensor MultiHeadSelfAttention::backward(const Tensor& dy, const Cache& cache) {

@@ -15,6 +15,15 @@
 
 namespace rebert::bert {
 
+/// One sequence's rows inside a stacked [rows, hidden] block: the batched
+/// inference forward copies a micro-batch of sequences back to back and
+/// runs every row-wise op once over the whole block.
+struct RowSpan {
+  int row0 = 0;       // first row of the sequence in the block
+  int length = 0;     // its rows
+  int valid_len = 0;  // > 0 masks rows >= valid_len; 0 = no padding
+};
+
 class MultiHeadSelfAttention {
  public:
   MultiHeadSelfAttention() = default;
@@ -33,9 +42,18 @@ class MultiHeadSelfAttention {
   /// [PAD] tokens (§II-A-3 pads pair sequences to a uniform length) can
   /// never influence real positions. 0 means "no padding".
   /// const: reads only the projection parameters, so concurrent forward
-  /// calls on one instance are safe (each caller owns its Cache).
+  /// calls on one instance are safe (each caller owns its Cache). Without
+  /// a cache this is forward_rows over one span.
   tensor::Tensor forward(const tensor::Tensor& x, Cache* cache,
                          int valid_len = 0) const;
+
+  /// Stacked inference forward: x [rows, hidden] holds the sequences of
+  /// `spans` back to back; writes [rows, hidden] to y (disjoint from x).
+  /// The Q/K/V and output projections run once over all rows; attention
+  /// runs per span, so no sequence attends to another. Scratch comes from
+  /// the thread arena.
+  void forward_rows(const float* x, const std::vector<RowSpan>& spans,
+                    int rows, float* y) const;
 
   /// Returns dx; accumulates all projection gradients.
   tensor::Tensor backward(const tensor::Tensor& dy, const Cache& cache);
@@ -45,6 +63,14 @@ class MultiHeadSelfAttention {
   int num_heads() const { return num_heads_; }
 
  private:
+  /// Per-head scores -> mask -> softmax -> context over one sequence of n
+  /// rows. q, k, v and concat are [n, hidden] row blocks (row stride
+  /// hidden); the heads write disjoint column blocks of concat. When
+  /// `probs` is non-null each head's [n, n] probabilities are appended.
+  void attend(const float* q, const float* k, const float* v, int n,
+              int valid_len, float* concat,
+              std::vector<tensor::Tensor>* probs) const;
+
   int num_heads_ = 1;
   int head_dim_ = 1;
   tensor::Linear query_, key_, value_, output_;

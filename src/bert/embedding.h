@@ -13,6 +13,7 @@
 
 #include <vector>
 
+#include "bert/attention.h"
 #include "bert/config.h"
 #include "tensor/layers.h"
 
@@ -51,6 +52,14 @@ class BertEmbeddings {
   tensor::Tensor forward(const EncodedSequence& input, bool training,
                          util::Rng& rng, Cache* cache) const;
 
+  /// Stacked inference forward: writes the embeddings of inputs[s] to the
+  /// rows of spans[s] in y [rows, hidden]. Same per-element sums as
+  /// forward() in eval mode; the tree projection and the LayerNorm run
+  /// once over all rows.
+  void forward_rows(const EncodedSequence* const* inputs,
+                    const std::vector<RowSpan>& spans, int rows,
+                    float* y) const;
+
   /// Accumulates all embedding gradients (no input gradient: ids are
   /// discrete and tree codes are fixed features).
   void backward(const tensor::Tensor& dy, const Cache& cache);
@@ -58,6 +67,9 @@ class BertEmbeddings {
   std::vector<tensor::Parameter*> parameters();
 
  private:
+  /// Throws util::CheckError unless `input` fits this configuration.
+  void check_input(const EncodedSequence& input) const;
+
   BertConfig config_;
   tensor::Embedding word_;
   tensor::Embedding position_;

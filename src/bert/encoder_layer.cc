@@ -1,5 +1,7 @@
 #include "bert/encoder_layer.h"
 
+#include "kernels/arena.h"
+#include "kernels/kernels.h"
 #include "util/check.h"
 
 namespace rebert::bert {
@@ -37,6 +39,35 @@ Tensor EncoderLayer::forward(const Tensor& x, bool training, util::Rng& rng,
   ffn = dropout_.forward(ffn, training, rng, &c.ffn_dropout);
   const Tensor ffn_res = tensor::add(att_normed, ffn);
   return ffn_norm_.forward(ffn_res, &c.ffn_norm);
+}
+
+void EncoderLayer::forward_rows(float* x, const std::vector<RowSpan>& spans,
+                                int rows) const {
+  const int h = intermediate_.in_features();
+  const int inner = intermediate_.out_features();
+  const std::int64_t block = static_cast<std::int64_t>(rows) * h;
+  kernels::ArenaScope scope;
+  float* sub = scope.floats(static_cast<std::size_t>(block));
+  float* up = scope.floats(static_cast<std::size_t>(rows) * inner);
+  float* act = scope.floats(static_cast<std::size_t>(rows) * inner);
+
+  // Attention block with residual; dropout is the identity at inference.
+  attention_.forward_rows(x, spans, rows, sub);
+  kernels::axpy(sub, x, 1.0f, block);
+  attention_norm_.forward_rows(sub, rows, x);
+
+  // Feed-forward block with residual. GELU runs span by span: its SIMD
+  // tail depends on the buffer length, so one call over the whole block
+  // could round differently from forward() when inner % 8 != 0.
+  intermediate_.forward_rows(x, rows, up);
+  for (const RowSpan& span : spans) {
+    const std::size_t offset = static_cast<std::size_t>(span.row0) * inner;
+    kernels::gelu(up + offset, act + offset,
+                  static_cast<std::int64_t>(span.length) * inner);
+  }
+  ffn_output_.forward_rows(act, rows, sub);
+  kernels::axpy(sub, x, 1.0f, block);
+  ffn_norm_.forward_rows(sub, rows, x);
 }
 
 Tensor EncoderLayer::backward(const Tensor& dy, const Cache& cache) {

@@ -34,6 +34,13 @@ class EncoderLayer {
                          int valid_len = 0) const;
   tensor::Tensor backward(const tensor::Tensor& dy, const Cache& cache);
 
+  /// Stacked inference forward, in place: x [rows, hidden] holds the
+  /// sequences of `spans` back to back. Every row-wise op runs once over
+  /// all rows; attention and GELU run per span. Same per-element
+  /// arithmetic as forward() in eval mode.
+  void forward_rows(float* x, const std::vector<RowSpan>& spans,
+                    int rows) const;
+
   std::vector<tensor::Parameter*> parameters();
 
  private:

@@ -1,7 +1,11 @@
 #include "bert/model.h"
 
+#include <algorithm>
+#include <cmath>
 #include <unordered_map>
 
+#include "kernels/arena.h"
+#include "kernels/kernels.h"
 #include "runtime/fault_injector.h"
 #include "tensor/graphcheck.h"
 #include "tensor/serialize.h"
@@ -155,27 +159,73 @@ void BertPairClassifier::backward(const Tensor& d_logits,
   embeddings_.backward(d_hidden, cache.embeddings);
 }
 
+void BertPairClassifier::forward_rows(const EncodedSequence* const* inputs,
+                                      std::size_t count, double* out) const {
+  const int h = config_.hidden;
+  const int classes = config_.num_classes;
+  const int batch = static_cast<int>(count);
+  std::vector<RowSpan> spans(count);
+  int rows = 0;
+  for (std::size_t s = 0; s < count; ++s) {
+    spans[s] = RowSpan{rows, inputs[s]->length(), inputs[s]->valid_len};
+    rows += spans[s].length;
+  }
+
+  kernels::ArenaScope scope;
+  float* x = scope.floats(static_cast<std::size_t>(rows) * h);
+  embeddings_.forward_rows(inputs, spans, rows, x);
+  for (const EncoderLayer& layer : layers_) layer.forward_rows(x, spans, rows);
+
+  // Pooler and classifier over each sequence's first ([CLS]) row.
+  float* first = scope.floats(count * static_cast<std::size_t>(h));
+  for (std::size_t s = 0; s < count; ++s)
+    std::copy_n(x + static_cast<std::size_t>(spans[s].row0) * h, h,
+                first + s * static_cast<std::size_t>(h));
+  float* pooled = scope.floats(count * static_cast<std::size_t>(h));
+  pooler_.forward_rows(first, batch, pooled);
+  for (std::size_t i = 0; i < count * static_cast<std::size_t>(h); ++i)
+    pooled[i] = std::tanh(pooled[i]);
+  float* logits = scope.floats(count * static_cast<std::size_t>(classes));
+  classifier_.forward_rows(pooled, batch, logits);
+  kernels::softmax_rows(logits, batch, classes);
+  for (std::size_t s = 0; s < count; ++s)
+    out[s] = logits[s * static_cast<std::size_t>(classes) + 1];
+}
+
 double BertPairClassifier::predict_same_word_probability(
     const EncodedSequence& input) const {
-  // Chaos site: simulates an inference failure (bad checkpoint arithmetic,
-  // a NaN tripwire from check_numerics, a future accelerator backend
-  // erroring out). One check per forward so probability-armed chaos runs
-  // fail a deterministic fraction of predictions.
-  runtime::FaultInjector::global().maybe_throw("model.forward");
-  const Tensor logits = forward(input, /*dropout_rng=*/nullptr, nullptr);
-  const Tensor probs = tensor::softmax_rows(logits);
-  return probs.at(0, 1);
+  return predict_same_word_probabilities({&input}).front();
 }
 
 std::vector<double> BertPairClassifier::predict_same_word_probabilities(
     const std::vector<const EncodedSequence*>& batch) const {
-  std::vector<double> scores;
-  scores.reserve(batch.size());
+  // Chaos site: simulates an inference failure (bad checkpoint arithmetic,
+  // a NaN tripwire from check_numerics, a future accelerator backend
+  // erroring out). One check per sequence, all drawn before the batch
+  // computes, so probability-armed chaos runs fail a deterministic
+  // fraction of predictions whatever the batching.
+  bool tripped = false;
   for (const EncodedSequence* input : batch) {
     REBERT_CHECK_MSG(input != nullptr, "null sequence in prediction batch");
-    scores.push_back(predict_same_word_probability(*input));
+    tripped |= runtime::FaultInjector::global().should_fail("model.forward");
+  }
+  if (tripped) throw runtime::InjectedFault("model.forward");
+
+  std::vector<double> scores(batch.size());
+  for (std::size_t begin = 0; begin < batch.size();) {
+    std::size_t end = begin;
+    int rows = 0;
+    while (end < batch.size() &&
+           (end == begin || rows + batch[end]->length() <= kStackedRows))
+      rows += batch[end++]->length();
+    forward_rows(batch.data() + begin, end - begin, scores.data() + begin);
+    begin = end;
   }
   return scores;
+}
+
+Tensor BertPairClassifier::eval_logits(const EncodedSequence& input) const {
+  return forward(input, /*dropout_rng=*/nullptr, nullptr);
 }
 
 double BertPairClassifier::train_step_accumulate(const EncodedSequence& input,
@@ -191,8 +241,8 @@ double BertPairClassifier::train_step_accumulate(const EncodedSequence& input,
 
 double BertPairClassifier::eval_loss(const EncodedSequence& input,
                                      int label) const {
-  const Tensor logits = forward(input, /*dropout_rng=*/nullptr, nullptr);
-  return tensor::cross_entropy_with_logits(logits, {label}, nullptr);
+  return tensor::cross_entropy_with_logits(eval_logits(input), {label},
+                                          nullptr);
 }
 
 const std::vector<tensor::Parameter*>& BertPairClassifier::parameters() {

@@ -36,7 +36,7 @@ class BertPairClassifier {
   const BertConfig& config() const { return config_; }
 
   /// Probability that the pair belongs to the same word (class 1);
-  /// inference mode (no dropout).
+  /// inference mode (no dropout). A one-element predict batch.
   ///
   /// Thread safety: const inference reads parameters only (dropout is the
   /// identity in eval mode and its RNG is never touched), so any number of
@@ -46,13 +46,28 @@ class BertPairClassifier {
   double predict_same_word_probability(const EncodedSequence& input) const;
 
   /// Batch-forward entry point: scores a micro-batch of encoded pair
-  /// sequences (one forward each — sequences differ in length, so there is
-  /// no cross-sequence tensor to fuse). This is the unit of work the serve
-  /// engine and the parallel scorer fan out across runtime::ThreadPool
-  /// workers; keeping the batch walk inside the model lets future backends
-  /// fuse it for real without touching callers.
+  /// sequences with a stacked forward. Sequences are copied back to back
+  /// into one [rows, hidden] block of up to kStackedRows rows (a longer
+  /// sequence gets a block of its own), so each projection, FFN and
+  /// LayerNorm is one GEMM or kernel call per layer per block; attention
+  /// and GELU run per sequence. Every score is bit-identical to a
+  /// one-sequence call on the same backend, whatever its neighbours.
+  ///
+  /// The "model.forward" fault site is checked once per sequence, all
+  /// before any compute; the call throws runtime::InjectedFault if any
+  /// check trips.
   std::vector<double> predict_same_word_probabilities(
       const std::vector<const EncodedSequence*>& batch) const;
+
+  /// Row budget of one stacked block. Stacked scratch is about 3.6 KB per
+  /// row per thread at the default sizes, so this bounds the arena growth
+  /// a batch can cause.
+  static constexpr int kStackedRows = 256;
+
+  /// Class logits [1, num_classes] from the Tensor forward in eval mode
+  /// (the training graph without dropout): the reference the stacked
+  /// forward is tested against, and what eval_loss scores.
+  tensor::Tensor eval_logits(const EncodedSequence& input) const;
 
   /// Training-mode forward + backward for one example. Returns the loss;
   /// accumulates gradients on all parameters.
@@ -80,6 +95,9 @@ class BertPairClassifier {
   tensor::Tensor forward(const EncodedSequence& input,
                          util::Rng* dropout_rng, ForwardCache* cache) const;
   void backward(const tensor::Tensor& d_logits, const ForwardCache& cache);
+  /// Stacked inference over inputs[0, count): out[s] = P(class 1).
+  void forward_rows(const EncodedSequence* const* inputs, std::size_t count,
+                    double* out) const;
 
   BertConfig config_;
   util::Rng init_rng_;

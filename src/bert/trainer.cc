@@ -13,11 +13,15 @@ namespace rebert::bert {
 double evaluate_accuracy(BertPairClassifier& model,
                          const std::vector<LabeledExample>& examples) {
   REBERT_CHECK(!examples.empty());
+  std::vector<const EncodedSequence*> batch;
+  batch.reserve(examples.size());
+  for (const LabeledExample& ex : examples) batch.push_back(&ex.sequence);
+  const std::vector<double> scores =
+      model.predict_same_word_probabilities(batch);
   int correct = 0;
-  for (const LabeledExample& ex : examples) {
-    const double p = model.predict_same_word_probability(ex.sequence);
-    const int predicted = p >= 0.5 ? 1 : 0;
-    if (predicted == ex.label) ++correct;
+  for (std::size_t k = 0; k < examples.size(); ++k) {
+    const int predicted = scores[k] >= 0.5 ? 1 : 0;
+    if (predicted == examples[k].label) ++correct;
   }
   return static_cast<double>(correct) / static_cast<double>(examples.size());
 }

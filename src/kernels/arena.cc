@@ -1,7 +1,6 @@
 #include "kernels/arena.h"
 
 #include <algorithm>
-#include <cstdint>
 #include <limits>
 
 #include "kernels/aligned.h"
@@ -39,7 +38,7 @@ void* Arena::alloc_bytes(std::size_t bytes) {
   while (current_ < blocks_.size()) {
     Block& block = blocks_[current_];
     if (block.capacity - block.used >= bytes) {
-      char* p = block.base + block.used;
+      char* p = block.base.get() + block.used;
       block.used += bytes;
       return p;
     }
@@ -47,7 +46,7 @@ void* Arena::alloc_bytes(std::size_t bytes) {
     ++current_;
   }
   Block& block = grow(bytes);
-  char* p = block.base + block.used;
+  char* p = block.base.get() + block.used;
   block.used += bytes;
   return p;
 }
@@ -60,13 +59,8 @@ Arena::Block& Arena::grow(std::size_t min_bytes) {
   want = std::max(want, capacity());
   want = round_up(want);
   Block block;
-  const std::size_t floats = want / sizeof(float) + kAlignment / sizeof(float);
-  block.storage = std::make_unique<float[]>(floats);
-  auto addr = reinterpret_cast<std::uintptr_t>(block.storage.get());
-  const std::uintptr_t aligned = (addr + kAlignment - 1) & ~(kAlignment - 1);
-  block.base = reinterpret_cast<char*>(aligned);
+  block.base = util::map_pages<char>(want);
   block.capacity = want;
-  block.used = 0;
   blocks_.push_back(std::move(block));
   current_ = blocks_.size() - 1;
   return blocks_.back();
@@ -78,12 +72,12 @@ void Arena::rewind(const Mark& mark) {
                     "arena rewind past the end of the block list");
   for (std::size_t b = blocks_.size(); b-- > mark.block + 1;) {
 #if defined(REBERT_ENABLE_DCHECKS)
-    poison(blocks_[b].base, 0, blocks_[b].used);
+    poison(blocks_[b].base.get(), 0, blocks_[b].used);
 #endif
     blocks_[b].used = 0;
   }
 #if defined(REBERT_ENABLE_DCHECKS)
-  poison(blocks_[mark.block].base, mark.used, blocks_[mark.block].used);
+  poison(blocks_[mark.block].base.get(), mark.used, blocks_[mark.block].used);
 #endif
   blocks_[mark.block].used = mark.used;
   current_ = mark.block;

@@ -24,8 +24,9 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <vector>
+
+#include "util/page_mapping.h"
 
 namespace rebert::kernels {
 
@@ -58,9 +59,13 @@ class Arena {
   std::size_t block_count() const { return blocks_.size(); }
 
  private:
+  /// Each block is an anonymous mapping of its own (util/page_mapping.h).
+  /// A transient pool's workers each grow an arena of about 2 MB and free
+  /// it when they exit; as heap blocks, those frees left holes whose
+  /// reuse, and so the peak RSS, depended on thread timing. Pages are
+  /// aligned far past kAlignment.
   struct Block {
-    std::unique_ptr<float[]> storage;  // overallocated for manual alignment
-    char* base = nullptr;              // 64-byte-aligned start
+    util::PageArray<char> base;
     std::size_t capacity = 0;
     std::size_t used = 0;
   };

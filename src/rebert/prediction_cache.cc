@@ -163,15 +163,4 @@ void ShardedPredictionCache::attach_warm_tier(
   warm_tier_.store(raw, std::memory_order_release);
 }
 
-void ShardedPredictionCache::clear() {
-  for (const auto& shard : shards_) {
-    util::MutexLock lock(shard->mu);
-    shard->entries.clear();
-  }
-  // Detach (but keep alive) any warm tier: a concurrent reader may still
-  // hold the old pointer, and the owners vector guarantees its pointee.
-  warm_tier_.store(nullptr, std::memory_order_release);
-  stats_.reset();
-}
-
 }  // namespace rebert::core

@@ -62,11 +62,6 @@ class CacheStats {
     return total > 0.0 ? h / total : 0.0;
   }
 
-  void reset() {
-    hits_.store(0, std::memory_order_relaxed);
-    misses_.store(0, std::memory_order_relaxed);
-  }
-
  private:
   static void bump(std::atomic<std::uint64_t>& counter) {
     std::uint64_t current = counter.load(std::memory_order_relaxed);
@@ -163,7 +158,6 @@ class ShardedPredictionCache {
     return warm_tier_.load(std::memory_order_acquire);
   }
 
-  void clear() EXCLUDES(tier_mu_);
 
  private:
   struct Shard {

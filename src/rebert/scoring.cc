@@ -12,10 +12,18 @@
 
 namespace rebert::core {
 
-ScoreMatrix::ScoreMatrix(int n) : n_(n) {
+namespace {
+
+std::size_t cell_count(int n) {
   REBERT_CHECK_MSG(n >= 1, "score matrix needs at least one bit");
-  values_.assign(static_cast<std::size_t>(n) * static_cast<std::size_t>(n),
-                 kFiltered);
+  return static_cast<std::size_t>(n) * static_cast<std::size_t>(n);
+}
+
+}  // namespace
+
+ScoreMatrix::ScoreMatrix(int n)
+    : n_(n), values_(util::map_pages<double>(cell_count(n))) {
+  std::fill_n(values_.get(), cell_count(n), kFiltered);
 }
 
 double ScoreMatrix::at(int i, int j) const {
@@ -25,7 +33,7 @@ double ScoreMatrix::at(int i, int j) const {
 
 const double* ScoreMatrix::row(int i) const {
   REBERT_CHECK(i >= 0 && i < n_);
-  return values_.data() + static_cast<std::size_t>(i) * n_;
+  return values_.get() + static_cast<std::size_t>(i) * n_;
 }
 
 void ScoreMatrix::set(int i, int j, double score) {
@@ -35,7 +43,7 @@ void ScoreMatrix::set(int i, int j, double score) {
 }
 
 double ScoreMatrix::max_score() const {
-  return *std::max_element(values_.begin(), values_.end());
+  return *std::max_element(values_.get(), values_.get() + cell_count(n_));
 }
 
 double ScoreMatrix::filtered_fraction() const {
@@ -70,6 +78,11 @@ ScoreMatrix build_score_matrix(
 namespace {
 
 using std::size_t;
+
+/// Pairs per batched model call: a few stacked blocks of
+/// BertPairClassifier::kStackedRows rows at typical pair lengths, and few
+/// enough that phase 1's indices still balance across threads.
+constexpr size_t kPairsPerBatch = 32;
 
 /// The bits grouped into classes of exactly equal sequences (token ids and
 /// tree codes), numbered by first bit: c < d implies first(c) < first(d).
@@ -247,16 +260,44 @@ ScoreMatrix score_all_pairs(const std::vector<BitSequence>& bits,
   });
   const std::int64_t slots = table.number_slots();
 
-  // The per-pair body: lookup -> encode -> forward -> insert.
-  const auto score_pair = [&](int i, int j, std::uint64_t key) {
-    double score = 0.0;
-    if (cache == nullptr || !cache->lookup(key, &score)) {
-      score = model.predict_same_word_probability(
-          tokenizer.encode_pair(bits[static_cast<size_t>(i)],
-                                bits[static_cast<size_t>(j)]));
-      if (cache != nullptr) cache->insert(key, score);
+  // Cells whose score is not cached yet wait in a batch of up to
+  // kPairsPerBatch pairs; flushing one encodes them, scores them in one
+  // batched model call, and stores each score in the matrix and the cache.
+  struct Pending {
+    int i;
+    int j;
+    std::uint64_t key;
+  };
+  const auto flush = [&](std::vector<Pending>* pending) {
+    if (pending->empty()) return;
+    std::vector<bert::EncodedSequence> encoded;
+    encoded.reserve(pending->size());
+    std::vector<const bert::EncodedSequence*> inputs;
+    for (const Pending& p : *pending) {
+      encoded.push_back(tokenizer.encode_pair(bits[static_cast<size_t>(p.i)],
+                                              bits[static_cast<size_t>(p.j)]));
+      inputs.push_back(&encoded.back());
     }
-    matrix.set(i, j, score);
+    const std::vector<double> scores =
+        model.predict_same_word_probabilities(inputs);
+    for (size_t k = 0; k < pending->size(); ++k) {
+      const Pending& p = (*pending)[k];
+      matrix.set(p.i, p.j, scores[k]);
+      if (cache != nullptr) cache->insert(p.key, scores[k]);
+    }
+    pending->clear();
+  };
+  // The per-pair body: a cache hit is stored at once, a miss waits for
+  // the next flush.
+  const auto score_pair = [&](int i, int j, std::uint64_t key,
+                              std::vector<Pending>* pending) {
+    double score = 0.0;
+    if (cache != nullptr && cache->lookup(key, &score)) {
+      matrix.set(i, j, score);
+      return;
+    }
+    pending->push_back({i, j, key});
+    if (pending->size() == kPairsPerBatch) flush(pending);
   };
 
   // With every sequence distinct, each class pair holds one bit pair, so
@@ -267,24 +308,32 @@ ScoreMatrix score_all_pairs(const std::vector<BitSequence>& bits,
 
   // Phase 1. The representative of class pair (c, d) is i = first(c) and
   // j = the first bit of d after i. Slot `slot` owns cell (i, j) and
-  // keys[slot].
-  run(slots, [&](std::int64_t slot) {
-    const auto [c, d] = table.pair_at(slot);
-    const int i = classes.first(c);
-    const int j = classes.next_after(d, i);
-    std::uint64_t key = 0;
-    if (cache != nullptr) {
-      key = PredictionCache::key_of(bits[static_cast<size_t>(i)],
-                                    bits[static_cast<size_t>(j)]);
-      if (!keys.empty()) keys[static_cast<size_t>(slot)] = key;
+  // keys[slot]; one index takes kPairsPerBatch consecutive slots, so its
+  // misses share a batched forward. No two slots share a key.
+  const auto chunk_slots = static_cast<std::int64_t>(kPairsPerBatch);
+  run((slots + chunk_slots - 1) / chunk_slots, [&](std::int64_t chunk) {
+    const std::int64_t end = std::min(slots, (chunk + 1) * chunk_slots);
+    std::vector<Pending> pending;
+    for (std::int64_t slot = chunk * chunk_slots; slot < end; ++slot) {
+      const auto [c, d] = table.pair_at(slot);
+      const int i = classes.first(c);
+      const int j = classes.next_after(d, i);
+      std::uint64_t key = 0;
+      if (cache != nullptr) {
+        key = PredictionCache::key_of(bits[static_cast<size_t>(i)],
+                                      bits[static_cast<size_t>(j)]);
+        if (!keys.empty()) keys[static_cast<size_t>(slot)] = key;
+      }
+      score_pair(i, j, key, &pending);
     }
-    score_pair(i, j, key);
+    flush(&pending);
   });
   if (!repeats) return matrix;
 
   // Phase 2 scores the passing cells (i, j), j > i, that phase 1 did not.
   // With a cache, row_keys[d] is the key of (class of i, d).
-  const auto walk_row = [&](int i, const std::uint64_t* row_keys) {
+  const auto walk_row = [&](int i, const std::uint64_t* row_keys,
+                            std::vector<Pending>* pending) {
     const int c = classes.class_of[static_cast<size_t>(i)];
     const std::uint64_t* passing = table.row(c);
     // In the first row of class c, the first bit of each class d is the
@@ -297,12 +346,17 @@ ScoreMatrix score_all_pairs(const std::vector<BitSequence>& bits,
         represented[static_cast<size_t>(d)] = 1;
         continue;
       }
-      score_pair(i, j, row_keys != nullptr ? row_keys[d] : 0);
+      score_pair(i, j, row_keys != nullptr ? row_keys[d] : 0, pending);
     }
   };
   if (cache == nullptr) {
-    // Every pair forwards: one index per row balances the load.
-    run(n, [&](std::int64_t row) { walk_row(static_cast<int>(row), nullptr); });
+    // Every pair forwards, in batches within the row: one index per row
+    // balances the load.
+    run(n, [&](std::int64_t row) {
+      std::vector<Pending> pending;
+      walk_row(static_cast<int>(row), nullptr, &pending);
+      flush(&pending);
+    });
     return matrix;
   }
   // Every pair is a lookup, and all rows of a class look up the same keys:
@@ -316,9 +370,12 @@ ScoreMatrix score_all_pairs(const std::vector<BitSequence>& bits,
     for (size_t w = 0; w < table.words; ++w)
       for (std::uint64_t m = passing[w]; m != 0; m &= m - 1)
         row_keys[w * 64 + static_cast<size_t>(std::countr_zero(m))] = *key++;
+    std::vector<Pending> pending;
     for (int k = classes.begin[static_cast<size_t>(c)];
          k < classes.begin[static_cast<size_t>(c) + 1]; ++k)
-      walk_row(classes.members[static_cast<size_t>(k)], row_keys.data());
+      walk_row(classes.members[static_cast<size_t>(k)], row_keys.data(),
+               &pending);
+    flush(&pending);
   });
   return matrix;
 }

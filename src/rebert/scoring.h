@@ -14,6 +14,7 @@
 #include "rebert/tokenizer.h"
 #include "runtime/latch.h"
 #include "runtime/thread_pool.h"
+#include "util/page_mapping.h"
 
 namespace rebert::core {
 
@@ -38,7 +39,9 @@ class ScoreMatrix {
 
  private:
   int n_;
-  std::vector<double> values_;
+  /// n x n values, row-major: 16 MB at 1,415 bits, so they take a mapping
+  /// of their own (util/page_mapping.h).
+  util::PageArray<double> values_;
 };
 
 /// Scores every pair with `scorer` unless the filter rejects it first.
@@ -72,19 +75,21 @@ struct ScoringOptions {
 /// equal): the Jaccard filter is decided once per ordered class pair, and
 /// with a cache, the key once per passing ordered class pair. Scoring then
 /// runs in two parallel_for phases on one pool. Phase 1 scores one
-/// representative bit pair of every passing ordered class pair. Phase 2
-/// walks the rest of the upper triangle row by row: one index per row
-/// without a cache, and with one, one index per class that walks the rows
-/// of that class (they look up the same keys, all of them hits). Every
-/// filter survivor is looked up in the cache exactly once, and a cold cache
-/// forwards each key exactly once.
+/// representative bit pair of every passing ordered class pair, taking
+/// slots in chunks whose cache misses share one batched model call. Phase
+/// 2 walks the rest of the upper triangle row by row: one index per row
+/// without a cache, its forwards batched within the row, and with one, one
+/// index per class that walks the rows of that class (they look up the
+/// same keys, all of them hits). Every filter survivor is looked up in the
+/// cache exactly once, and a cold cache forwards each key exactly once.
 ///
 /// Determinism: the output is bit-identical at any thread count, with the
 /// cache on or off. Each matrix cell (i, j)/(j, i), i < j, is written by
 /// exactly one body invocation — one phase-1 index or the phase-2 index
-/// that walks row i — the model is read-only during inference, and cache
-/// hits are lossless (same key -> same score), so scheduling order cannot
-/// change a single bit of the result. Enforced by
+/// that walks row i — the model is read-only during inference, a batched
+/// score does not depend on its batch neighbours, and cache hits are
+/// lossless (same key -> same score), so scheduling order cannot change a
+/// single bit of the result. Enforced by
 /// tests/runtime/scoring_parallel_test.cc at 1, 2, and 8 threads.
 ScoreMatrix score_all_pairs(const std::vector<BitSequence>& bits,
                             const Tokenizer& tokenizer,

@@ -18,13 +18,17 @@ Tensor Linear::forward(const Tensor& x, Cache* cache) const {
                     "Linear input " << x.shape_string() << " vs weight "
                                     << weight.value.shape_string());
   if (cache) cache->input = x;
+  Tensor y({x.dim(0), out_features()});
+  forward_rows(x.data(), x.dim(0), y.data());
+  return y;
+}
+
+void Linear::forward_rows(const float* x, int rows, float* y) const {
   // GEMM + in-place bias: skips the extra output copy add_row_bias(matmul())
   // would make.
-  const int m = x.dim(0), in = x.dim(1), out = weight.value.dim(1);
-  Tensor y({m, out});
-  kernels::gemm(x.data(), weight.value.data(), y.data(), m, in, out);
-  kernels::add_row_bias(y.data(), bias.value.data(), m, out);
-  return y;
+  kernels::gemm(x, weight.value.data(), y, rows, in_features(),
+                out_features());
+  kernels::add_row_bias(y, bias.value.data(), rows, out_features());
 }
 
 Tensor Linear::backward(const Tensor& dy, const Cache& cache) {
@@ -56,11 +60,15 @@ Tensor LayerNorm::forward(const Tensor& x, Cache* cache) const {
     cache->normalized = std::move(normalized);
     cache->inv_std = std::move(inv_std);
   } else {
-    // Inference path: single fused pass, no intermediate allocations.
-    kernels::layer_norm(x.data(), gamma.value.data(), beta.value.data(), eps,
-                        n, h, y.data(), nullptr, nullptr);
+    forward_rows(x.data(), n, y.data());
   }
   return y;
+}
+
+void LayerNorm::forward_rows(const float* x, int rows, float* y) const {
+  // Inference path: single fused pass, no intermediate allocations.
+  kernels::layer_norm(x, gamma.value.data(), beta.value.data(), eps, rows,
+                      gamma.value.dim(0), y, nullptr, nullptr);
 }
 
 Tensor LayerNorm::backward(const Tensor& dy, const Cache& cache) {

@@ -41,6 +41,9 @@ class Linear {
   };
 
   Tensor forward(const Tensor& x, Cache* cache) const;
+  /// Inference form over raw rows: y[rows, out] = x[rows, in] W + b. y
+  /// must not overlap x. forward() is this plus the Tensor wrapping.
+  void forward_rows(const float* x, int rows, float* y) const;
   /// Returns dx; accumulates dW, db.
   Tensor backward(const Tensor& dy, const Cache& cache);
 
@@ -64,6 +67,9 @@ class LayerNorm {
   };
 
   Tensor forward(const Tensor& x, Cache* cache) const;
+  /// Inference form over raw rows: y[rows, h] = LayerNorm(x[rows, h]),
+  /// row by row; the same kernel call as forward() without a cache.
+  void forward_rows(const float* x, int rows, float* y) const;
   Tensor backward(const Tensor& dy, const Cache& cache);
 
   std::vector<Parameter*> parameters() { return {&gamma, &beta}; }

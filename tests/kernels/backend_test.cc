@@ -15,7 +15,9 @@ TEST(BackendSpecTest, AutoPicksAnAvailableBackend) {
   ASSERT_TRUE(parse_backend_spec("auto", &backend, &error)) << error;
   EXPECT_TRUE(backend_available(backend));
   // Auto must pick the best available backend, not just any.
-  if (avx2_available()) EXPECT_EQ(backend, Backend::kAvx2);
+  if (avx2_available()) {
+    EXPECT_EQ(backend, Backend::kAvx2);
+  }
 }
 
 TEST(BackendSpecTest, EmptySpecBehavesLikeAuto) {

@@ -252,8 +252,9 @@ TEST(HashRingOwnersTest, LeaverPromotesItsSecondaries) {
     } else {
       // Surviving primaries keep their keys.
       EXPECT_EQ(after[0], before[key][0]) << key;
-      if (before[key][1] != "backend2")
+      if (before[key][1] != "backend2") {
         EXPECT_EQ(after[1], before[key][1]) << key;
+      }
     }
   }
   EXPECT_GT(promoted, 0);

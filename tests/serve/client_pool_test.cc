@@ -19,6 +19,21 @@
 namespace rebert::serve {
 namespace {
 
+// Only handle_line is set; the optional callbacks keep their defaults
+// (no blank-line skipping, the stock overload line, text only).
+SocketServer::Callbacks echo_callbacks() {
+  SocketServer::Callbacks callbacks;
+  callbacks.handle_line = [](const std::string& line,
+                             bool* close_connection) {
+    if (line == "die") {
+      *close_connection = true;
+      return std::string("ok bye");
+    }
+    return "ok echo " + line;
+  };
+  return callbacks;
+}
+
 // A line server that answers "ok echo <line>" — plus a "die" verb that
 // closes the connection without answering, for the discard path.
 struct EchoServer {
@@ -27,15 +42,7 @@ struct EchoServer {
   std::thread runner;
 
   explicit EchoServer(std::string socket_path)
-      : server(SocketServer::Callbacks{
-            [](const std::string& line, bool* close_connection) {
-              if (line == "die") {
-                *close_connection = true;
-                return std::string("ok bye");
-              }
-              return "ok echo " + line;
-            },
-            nullptr, nullptr, nullptr, nullptr}),
+      : server(echo_callbacks()),
         path(std::move(socket_path)),
         runner([this] { server.run(path); }) {}
 
