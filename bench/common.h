@@ -21,6 +21,7 @@
 #include "rebert/pipeline.h"
 #include "util/env.h"
 #include "util/string_utils.h"
+#include "util/timer.h"
 
 namespace rebert::benchharness {
 
@@ -75,6 +76,38 @@ inline std::vector<core::CircuitData> generate_suite(
     circuits.push_back(
         to_circuit_data(gen::generate_benchmark(name, setup.scale), name));
   return circuits;
+}
+
+/// The paper-faithful recover (§II-C/D): every pair that survives the
+/// Jaccard filter is encoded and forwarded on its own, serially, then
+/// grouped. recover_words forwards once per sequence-class pair instead,
+/// with the cache on or off, so the paper's per-pair runtime is timed here.
+inline core::RecoveryResult recover_words_per_pair(
+    const nl::Netlist& netlist, const bert::BertPairClassifier& model,
+    const core::PipelineOptions& options) {
+  core::RecoveryResult result;
+  const util::WallTimer total;
+  util::WallTimer phase;
+  const core::Tokenizer tokenizer(options.tokenizer);
+  const std::vector<core::BitSequence> bits = tokenizer.tokenize_bits(netlist);
+  result.tokenize_seconds = phase.seconds();
+
+  phase.reset();
+  const core::ScoreMatrix scores =
+      core::build_score_matrix(bits, options.filter, [&](int i, int j) {
+        return model.predict_same_word_probability(
+            tokenizer.encode_pair(bits[static_cast<std::size_t>(i)],
+                                  bits[static_cast<std::size_t>(j)]));
+      });
+  result.scoring_seconds = phase.seconds();
+  result.filtered_fraction = scores.filtered_fraction();
+
+  phase.reset();
+  result.labels = core::group_words(scores, options.grouping);
+  result.grouping_seconds = phase.seconds();
+  result.num_words = metrics::num_clusters(result.labels);
+  result.total_seconds = total.seconds();
+  return result;
 }
 
 /// Nearest-index percentile of an ascending-sorted sample: the element at

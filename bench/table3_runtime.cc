@@ -43,6 +43,7 @@ int main() {
                       {"benchmark", "structural_seconds", "rebert_seconds",
                        "rebert_cached_seconds"});
 
+  bool identical = true;
   for (const auto& circuit : circuits) {
     double structural_total = 0.0, rebert_total = 0.0, cached_total = 0.0;
     double tokenize_total = 0.0, score_total = 0.0, group_total = 0.0;
@@ -64,20 +65,26 @@ int main() {
               .total_seconds;
 
       // Paper-faithful configuration: every surviving pair hits the model.
-      core::PipelineOptions uncached = setup.options.pipeline;
-      uncached.use_prediction_cache = false;
       const core::RecoveryResult recovery =
-          core::recover_words(variant, *model, uncached);
+          benchharness::recover_words_per_pair(variant, *model,
+                                               setup.options.pipeline);
       rebert_total += recovery.total_seconds;
       tokenize_total += recovery.tokenize_seconds;
       score_total += recovery.scoring_seconds;
       group_total += recovery.grouping_seconds;
 
-      // This repo's accelerated configuration (lossless memoization).
+      // This repo's accelerated configuration: class-level scoring with
+      // lossless memoization. It must recover the same words.
       core::PipelineOptions cached = setup.options.pipeline;
       cached.use_prediction_cache = true;
-      cached_total +=
-          core::recover_words(variant, *model, cached).total_seconds;
+      const core::RecoveryResult fast =
+          core::recover_words(variant, *model, cached);
+      cached_total += fast.total_seconds;
+      if (fast.labels != recovery.labels) {
+        std::fprintf(stderr, "%s R=%.1f: cached labels differ from per-pair\n",
+                     circuit.name.c_str(), r);
+        identical = false;
+      }
     }
     const double n = static_cast<double>(sweep.size());
     table.add_row({"Structural", circuit.name,
@@ -98,5 +105,5 @@ int main() {
   }
   table.print();
   std::printf("CSV: table3_runtime.csv\n");
-  return 0;
+  return identical ? 0 : 1;
 }

@@ -1,5 +1,7 @@
 #include "rebert/grouping.h"
 
+#include <algorithm>
+
 #include "util/check.h"
 
 namespace rebert::core {
@@ -56,15 +58,43 @@ std::vector<int> group_words(const ScoreMatrix& scores,
                        options.threshold_factor < 1.0,
                    "threshold factor must be in (0,1)");
   const int n = scores.size();
+  const int u = scores.num_classes();
   UnionFind uf(n);
   const double max_score = scores.max_score();
-  if (max_score > 0.0) {
-    const double threshold = max_score * options.threshold_factor;
-    for (int i = 0; i < n; ++i) {
-      const double* row = scores.row(i);
-      for (int j = i + 1; j < n; ++j)
-        if (row[j] > threshold) uf.unite(i, j);
+  if (max_score <= 0.0) return uf.labels();
+  const double threshold = max_score * options.threshold_factor;
+
+  // The bit pairs i < j of an above-threshold class pair (c, d) are edges.
+  // first(c) < every such j and last(d) > every such i, so they join one
+  // component: first(c), last(d), the members of c below last(d) and the
+  // members of d above first(c). No other member of c or d has an edge.
+  // (For c = d that is all of c.) Per class, it suffices to keep the
+  // widest reach: the highest last(d) and the lowest first(c).
+  std::vector<int> first(static_cast<std::size_t>(u), -1);
+  std::vector<int> last(static_cast<std::size_t>(u), -1);
+  for (int i = 0; i < n; ++i) {
+    const auto c = static_cast<std::size_t>(scores.class_of(i));
+    if (first[c] < 0) first[c] = i;
+    last[c] = i;
+  }
+  std::vector<int> up_to(static_cast<std::size_t>(u), -1);   // joins first(c)
+  std::vector<int> down_to(static_cast<std::size_t>(u), n);  // joins last(d)
+  for (int c = 0; c < u; ++c) {
+    for (int d = 0; d < u; ++d) {
+      if (!(scores.class_score(c, d) > threshold)) continue;
+      const int fc = first[static_cast<std::size_t>(c)];
+      const int ld = last[static_cast<std::size_t>(d)];
+      uf.unite(fc, ld);
+      up_to[static_cast<std::size_t>(c)] =
+          std::max(up_to[static_cast<std::size_t>(c)], ld);
+      down_to[static_cast<std::size_t>(d)] =
+          std::min(down_to[static_cast<std::size_t>(d)], fc);
     }
+  }
+  for (int i = 0; i < n; ++i) {
+    const auto c = static_cast<std::size_t>(scores.class_of(i));
+    if (i < up_to[c]) uf.unite(i, first[c]);
+    if (i > down_to[c]) uf.unite(i, last[c]);
   }
   return uf.labels();
 }

@@ -35,7 +35,8 @@ class UnionFind {
 
 /// Recovered word labels, one per bit (index-aligned with the score
 /// matrix). If every pair was filtered or scores are non-positive, every
-/// bit becomes its own singleton word.
+/// bit becomes its own singleton word. Runs over the matrix's class cells
+/// in O(U² + n) and gives exactly the components of the bit-level graph.
 std::vector<int> group_words(const ScoreMatrix& scores,
                              const GroupingOptions& options = {});
 

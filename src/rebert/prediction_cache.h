@@ -23,6 +23,7 @@
 // NOT thread-safe.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -43,8 +44,11 @@ namespace detail {
 /// meaningful even on absurdly long-lived servers.
 class CacheStats {
  public:
-  void record_hit() { bump(hits_); }
-  void record_miss() { bump(misses_); }
+  void record_hit() { bump(hits_, 1); }
+  void record_miss() { bump(misses_, 1); }
+  /// `count` hits at once: lookups a caller knows would hit (the bit
+  /// pairs of a sequence-class pair after its first).
+  void record_hits(std::uint64_t count) { bump(hits_, count); }
 
   std::uint64_t hits() const {
     return hits_.load(std::memory_order_relaxed);
@@ -63,13 +67,14 @@ class CacheStats {
   }
 
  private:
-  static void bump(std::atomic<std::uint64_t>& counter) {
-    std::uint64_t current = counter.load(std::memory_order_relaxed);
-    // Saturate at max instead of wrapping to 0 (which would report a
-    // nonsense hit rate). The CAS loop only matters within one increment
-    // of the ceiling; the fast path is a plain fetch_add.
+  static void bump(std::atomic<std::uint64_t>& counter, std::uint64_t count) {
+    const std::uint64_t current = counter.load(std::memory_order_relaxed);
+    // Saturate near max instead of wrapping to 0 (which would report a
+    // nonsense hit rate); the headroom above kSaturated absorbs racing
+    // increments.
     if (current >= kSaturated) return;
-    counter.fetch_add(1, std::memory_order_relaxed);
+    counter.fetch_add(std::min(count, kSaturated - current),
+                      std::memory_order_relaxed);
   }
 
   static constexpr std::uint64_t kSaturated = ~0ULL - 1024;
@@ -138,6 +143,8 @@ class ShardedPredictionCache {
   std::uint64_t hits() const { return stats_.hits(); }
   std::uint64_t misses() const { return stats_.misses(); }
   double hit_rate() const { return stats_.hit_rate(); }
+  /// Counts `count` hits without a lookup (see detail::CacheStats).
+  void record_hits(std::uint64_t count) const { stats_.record_hits(count); }
 
   /// All entries across shards and the warm tier, sorted by key — what
   /// persist::save_cache snapshots. Shard-agnostic: records carry no shard

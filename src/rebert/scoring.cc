@@ -14,49 +14,74 @@ namespace rebert::core {
 
 namespace {
 
-std::size_t cell_count(int n) {
+std::size_t cell_count(int classes) {
+  return static_cast<std::size_t>(classes) *
+         static_cast<std::size_t>(classes);
+}
+
+std::vector<int> identity_classes(int n) {
   REBERT_CHECK_MSG(n >= 1, "score matrix needs at least one bit");
-  return static_cast<std::size_t>(n) * static_cast<std::size_t>(n);
+  std::vector<int> class_of(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) class_of[static_cast<std::size_t>(i)] = i;
+  return class_of;
 }
 
 }  // namespace
 
-ScoreMatrix::ScoreMatrix(int n)
-    : n_(n), values_(util::map_pages<double>(cell_count(n))) {
-  std::fill_n(values_.get(), cell_count(n), kFiltered);
+ScoreMatrix::ScoreMatrix(int n) : ScoreMatrix(identity_classes(n), n) {}
+
+ScoreMatrix::ScoreMatrix(std::vector<int> class_of, int classes)
+    : class_of_(std::move(class_of)), classes_(classes) {
+  REBERT_CHECK_MSG(!class_of_.empty(), "score matrix needs at least one bit");
+  for (int c : class_of_) REBERT_CHECK(c >= 0 && c < classes_);
+  values_ = util::map_pages<double>(cell_count(classes_));
+  std::fill_n(values_.get(), cell_count(classes_), kFiltered);
+}
+
+int ScoreMatrix::class_of(int i) const {
+  REBERT_CHECK(i >= 0 && i < size());
+  return class_of_[static_cast<std::size_t>(i)];
+}
+
+double ScoreMatrix::class_score(int c, int d) const {
+  REBERT_CHECK(c >= 0 && c < classes_ && d >= 0 && d < classes_);
+  return values_[static_cast<std::size_t>(c) * classes_ + d];
 }
 
 double ScoreMatrix::at(int i, int j) const {
-  REBERT_CHECK(i >= 0 && i < n_ && j >= 0 && j < n_);
-  return values_[static_cast<std::size_t>(i) * n_ + j];
-}
-
-const double* ScoreMatrix::row(int i) const {
-  REBERT_CHECK(i >= 0 && i < n_);
-  return values_.get() + static_cast<std::size_t>(i) * n_;
+  const int ci = class_of(i), cj = class_of(j);
+  if (i == j) return kFiltered;
+  return i < j ? class_score(ci, cj) : class_score(cj, ci);
 }
 
 void ScoreMatrix::set(int i, int j, double score) {
-  REBERT_CHECK(i >= 0 && i < n_ && j >= 0 && j < n_);
-  values_[static_cast<std::size_t>(i) * n_ + j] = score;
-  values_[static_cast<std::size_t>(j) * n_ + i] = score;
+  REBERT_CHECK_MSG(i != j, "self-pairs are never scored");
+  if (i > j) std::swap(i, j);
+  values_[static_cast<std::size_t>(class_of(i)) * classes_ + class_of(j)] =
+      score;
 }
 
 double ScoreMatrix::max_score() const {
-  return *std::max_element(values_.get(), values_.get() + cell_count(n_));
+  return *std::max_element(values_.get(),
+                           values_.get() + cell_count(classes_));
 }
 
 double ScoreMatrix::filtered_fraction() const {
-  if (n_ < 2) return 0.0;
-  long long filtered = 0, total = 0;
-  for (int i = 0; i < n_; ++i) {
-    const double* scores = row(i);
-    for (int j = i + 1; j < n_; ++j) {
-      ++total;
-      if (scores[j] == kFiltered) ++filtered;
-    }
+  const std::int64_t n = size();
+  if (n < 2) return 0.0;
+  // Walking the bits backwards, later[d] counts the bits of class d after
+  // bit i, so row class_of(i) weighs each scored cell by its bit pairs.
+  std::vector<std::int64_t> later(static_cast<std::size_t>(classes_), 0);
+  std::int64_t scored = 0;
+  for (std::int64_t i = n - 1; i >= 0; --i) {
+    const int c = class_of_[static_cast<std::size_t>(i)];
+    const double* row = values_.get() + static_cast<std::size_t>(c) * classes_;
+    for (int d = 0; d < classes_; ++d)
+      if (row[d] != kFiltered) scored += later[static_cast<std::size_t>(d)];
+    ++later[static_cast<std::size_t>(c)];
   }
-  return static_cast<double>(filtered) / static_cast<double>(total);
+  const std::int64_t total = n * (n - 1) / 2;
+  return static_cast<double>(total - scored) / static_cast<double>(total);
 }
 
 ScoreMatrix build_score_matrix(
@@ -81,7 +106,7 @@ using std::size_t;
 
 /// Pairs per batched model call: a few stacked blocks of
 /// BertPairClassifier::kStackedRows rows at typical pair lengths, and few
-/// enough that phase 1's indices still balance across threads.
+/// enough that the scoring loop's indices still balance across threads.
 constexpr size_t kPairsPerBatch = 32;
 
 /// The bits grouped into classes of exactly equal sequences (token ids and
@@ -111,6 +136,21 @@ struct SequenceClasses {
   int next_after(int d, int i) const {
     const auto lo = members.begin() + begin[static_cast<size_t>(d)];
     return *std::upper_bound(lo, lo + size(d), i);
+  }
+
+  /// The number of bit pairs i < j with classes (c, d).
+  std::int64_t pairs(int c, int d) const {
+    const std::int64_t sc = size(c);
+    if (c == d) return sc * (sc - 1) / 2;
+    const int* bc = members.data() + begin[static_cast<size_t>(c)];
+    const int* bd = members.data() + begin[static_cast<size_t>(d)];
+    const int* bd_end = bd + size(d);
+    std::int64_t count = 0;
+    for (const int* i = bc; i != bc + sc; ++i) {
+      while (bd != bd_end && *bd < *i) ++bd;
+      count += bd_end - bd;
+    }
+    return count;
   }
 };
 
@@ -155,7 +195,7 @@ SequenceClasses intern_sequences(const std::vector<BitSequence>& bits) {
 
 /// The ordered class pairs that occur and pass the filter, as a U x U
 /// bitset whose rows are whole words. Passing pairs are numbered in
-/// row-major order ("slots"); phase 1 runs one index per slot.
+/// row-major order ("slots"); each is scored once.
 struct PassTable {
   explicit PassTable(int classes)
       : words((static_cast<size_t>(classes) + 63) / 64),
@@ -168,10 +208,6 @@ struct PassTable {
   const std::uint64_t* row(int c) const {
     return mask.data() + static_cast<size_t>(c) * words;
   }
-  static bool test(const std::uint64_t* row, int d) {
-    return (row[d >> 6] >> (d & 63)) & 1U;
-  }
-
   /// Fills row_slot from the mask; returns the number of slots.
   std::int64_t number_slots() {
     for (size_t c = 0; c + 1 < row_slot.size(); ++c) {
@@ -213,8 +249,6 @@ ScoreMatrix score_all_pairs(const std::vector<BitSequence>& bits,
                             ShardedPredictionCache* cache,
                             const ScoringOptions& options) {
   REBERT_CHECK(!bits.empty());
-  const int n = static_cast<int>(bits.size());
-  ScoreMatrix matrix(n);
 
   // Every loop below runs on one pool: the caller's, a transient one, or
   // none (serial). The calling thread participates in parallel_for, so a
@@ -241,6 +275,7 @@ ScoreMatrix score_all_pairs(const std::vector<BitSequence>& bits,
 
   const SequenceClasses classes = intern_sequences(bits);
   const int u = classes.count();
+  ScoreMatrix matrix(classes.class_of, u);
   std::vector<TokenHistogram> histograms;
   for (int c = 0; c < u; ++c)
     histograms.push_back(
@@ -260,9 +295,10 @@ ScoreMatrix score_all_pairs(const std::vector<BitSequence>& bits,
   });
   const std::int64_t slots = table.number_slots();
 
-  // Cells whose score is not cached yet wait in a batch of up to
-  // kPairsPerBatch pairs; flushing one encodes them, scores them in one
-  // batched model call, and stores each score in the matrix and the cache.
+  // Class pairs whose score is not cached yet wait in a batch of up to
+  // kPairsPerBatch; flushing one encodes their representatives, scores
+  // them in one batched model call, and stores each score in the matrix
+  // and the cache.
   struct Pending {
     int i;
     int j;
@@ -287,29 +323,12 @@ ScoreMatrix score_all_pairs(const std::vector<BitSequence>& bits,
     }
     pending->clear();
   };
-  // The per-pair body: a cache hit is stored at once, a miss waits for
-  // the next flush.
-  const auto score_pair = [&](int i, int j, std::uint64_t key,
-                              std::vector<Pending>* pending) {
-    double score = 0.0;
-    if (cache != nullptr && cache->lookup(key, &score)) {
-      matrix.set(i, j, score);
-      return;
-    }
-    pending->push_back({i, j, key});
-    if (pending->size() == kPairsPerBatch) flush(pending);
-  };
 
-  // With every sequence distinct, each class pair holds one bit pair, so
-  // phase 2 has no work and no key has to outlive phase 1.
-  const bool repeats = u < n;
-  std::vector<std::uint64_t> keys(
-      cache != nullptr && repeats ? static_cast<size_t>(slots) : 0);
-
-  // Phase 1. The representative of class pair (c, d) is i = first(c) and
-  // j = the first bit of d after i. Slot `slot` owns cell (i, j) and
-  // keys[slot]; one index takes kPairsPerBatch consecutive slots, so its
-  // misses share a batched forward. No two slots share a key.
+  // The representative of class pair (c, d) is i = first(c) and j = the
+  // first bit of d after i. Slot `slot` owns cell (c, d); one index takes
+  // kPairsPerBatch consecutive slots, so its misses share a batched
+  // forward. No two slots share a key. The other bit pairs of (c, d) would
+  // look up the same key after it, so each counts as one hit.
   const auto chunk_slots = static_cast<std::int64_t>(kPairsPerBatch);
   run((slots + chunk_slots - 1) / chunk_slots, [&](std::int64_t chunk) {
     const std::int64_t end = std::min(slots, (chunk + 1) * chunk_slots);
@@ -322,59 +341,17 @@ ScoreMatrix score_all_pairs(const std::vector<BitSequence>& bits,
       if (cache != nullptr) {
         key = PredictionCache::key_of(bits[static_cast<size_t>(i)],
                                       bits[static_cast<size_t>(j)]);
-        if (!keys.empty()) keys[static_cast<size_t>(slot)] = key;
+        cache->record_hits(
+            static_cast<std::uint64_t>(classes.pairs(c, d) - 1));
+        double score = 0.0;
+        if (cache->lookup(key, &score)) {
+          matrix.set(i, j, score);
+          continue;
+        }
       }
-      score_pair(i, j, key, &pending);
+      pending.push_back({i, j, key});
+      if (pending.size() == kPairsPerBatch) flush(&pending);
     }
-    flush(&pending);
-  });
-  if (!repeats) return matrix;
-
-  // Phase 2 scores the passing cells (i, j), j > i, that phase 1 did not.
-  // With a cache, row_keys[d] is the key of (class of i, d).
-  const auto walk_row = [&](int i, const std::uint64_t* row_keys,
-                            std::vector<Pending>* pending) {
-    const int c = classes.class_of[static_cast<size_t>(i)];
-    const std::uint64_t* passing = table.row(c);
-    // In the first row of class c, the first bit of each class d is the
-    // representative phase 1 scored.
-    std::vector<char> represented(classes.first(c) == i ? u : 0);
-    for (int j = i + 1; j < n; ++j) {
-      const int d = classes.class_of[static_cast<size_t>(j)];
-      if (!PassTable::test(passing, d)) continue;
-      if (!represented.empty() && !represented[static_cast<size_t>(d)]) {
-        represented[static_cast<size_t>(d)] = 1;
-        continue;
-      }
-      score_pair(i, j, row_keys != nullptr ? row_keys[d] : 0, pending);
-    }
-  };
-  if (cache == nullptr) {
-    // Every pair forwards, in batches within the row: one index per row
-    // balances the load.
-    run(n, [&](std::int64_t row) {
-      std::vector<Pending> pending;
-      walk_row(static_cast<int>(row), nullptr, &pending);
-      flush(&pending);
-    });
-    return matrix;
-  }
-  // Every pair is a lookup, and all rows of a class look up the same keys:
-  // one index walks all rows of one class, in order, so no two threads
-  // look up the same key.
-  run(u, [&](std::int64_t cls) {
-    const int c = static_cast<int>(cls);
-    std::vector<std::uint64_t> row_keys(static_cast<size_t>(u));
-    auto key = keys.begin() + table.row_slot[static_cast<size_t>(c)];
-    const std::uint64_t* passing = table.row(c);
-    for (size_t w = 0; w < table.words; ++w)
-      for (std::uint64_t m = passing[w]; m != 0; m &= m - 1)
-        row_keys[w * 64 + static_cast<size_t>(std::countr_zero(m))] = *key++;
-    std::vector<Pending> pending;
-    for (int k = classes.begin[static_cast<size_t>(c)];
-         k < classes.begin[static_cast<size_t>(c) + 1]; ++k)
-      walk_row(classes.members[static_cast<size_t>(k)], row_keys.data(),
-               &pending);
     flush(&pending);
   });
   return matrix;

@@ -18,29 +18,46 @@
 
 namespace rebert::core {
 
+/// Scores stored per ordered pair of bit classes. Bits of one class are
+/// scored alike (score_all_pairs puts bits with equal sequences in one
+/// class), so cell (c, d) holds the score of every bit pair i < j with
+/// class_of[i] = c and class_of[j] = d: O(U² + n) memory for n bits in U
+/// classes. A cell that no bit pair occupies stays kFiltered.
 class ScoreMatrix {
  public:
   static constexpr double kFiltered = -1.0;
 
+  /// The dense form: every bit its own class, n x n cells — what the
+  /// per-pair oracle build_score_matrix fills.
   explicit ScoreMatrix(int n);
+  /// Bit i in class class_of[i], one of `classes`.
+  ScoreMatrix(std::vector<int> class_of, int classes);
 
-  int size() const { return n_; }
+  int size() const { return static_cast<int>(class_of_.size()); }
+  int num_classes() const { return classes_; }
+  int class_of(int i) const;
+
+  /// kFiltered when i == j.
   double at(int i, int j) const;
-  /// Row i as n contiguous scores — for full sweeps that would otherwise
-  /// pay a bounds check per cell through at().
-  const double* row(int i) const;
-  void set(int i, int j, double score);  // symmetric write
+  /// Symmetric write of the cell of bit pair (i, j), i != j: every bit
+  /// pair with the same ordered classes reads the new score.
+  void set(int i, int j, double score);
+  /// The cell of ordered class pair (c, d): at(i, j) for every i < j with
+  /// classes (c, d).
+  double class_score(int c, int d) const;
 
-  /// Maximum entry (filtered cells included as -1); -1 when fully filtered.
+  /// Maximum entry off the diagonal; -1 when fully filtered.
   double max_score() const;
 
-  /// Fraction of strict-upper-triangle pairs that were filtered.
+  /// Fraction of strict-upper-triangle bit pairs that were filtered.
   double filtered_fraction() const;
 
  private:
-  int n_;
-  /// n x n values, row-major: 16 MB at 1,415 bits, so they take a mapping
-  /// of their own (util/page_mapping.h).
+  std::vector<int> class_of_;
+  int classes_;
+  /// classes x classes values, row-major: 3 MB at b17's 631 classes, and
+  /// the dense form's n x n reach 16 MB at 1,415 bits, so they take a
+  /// mapping of their own (util/page_mapping.h).
   util::PageArray<double> values_;
 };
 
@@ -72,25 +89,24 @@ struct ScoringOptions {
 ///
 /// Leaf generalization makes many bits' sequences identical, so the work
 /// is planned per sequence class (bits whose token ids and tree codes are
-/// equal): the Jaccard filter is decided once per ordered class pair, and
-/// with a cache, the key once per passing ordered class pair. Scoring then
-/// runs in two parallel_for phases on one pool. Phase 1 scores one
+/// equal), and the matrix stores one score per ordered class pair (U x U
+/// cells for U classes, not n x n). The Jaccard filter is decided once per
+/// ordered class pair that occurs. One parallel_for then scores one
 /// representative bit pair of every passing ordered class pair, taking
-/// slots in chunks whose cache misses share one batched model call. Phase
-/// 2 walks the rest of the upper triangle row by row: one index per row
-/// without a cache, its forwards batched within the row, and with one, one
-/// index per class that walks the rows of that class (they look up the
-/// same keys, all of them hits). Every filter survivor is looked up in the
-/// cache exactly once, and a cold cache forwards each key exactly once.
+/// slots in chunks whose forwards share one batched model call; with the
+/// cache off, that is one forward per passing class pair. With a cache,
+/// each class pair is one lookup plus a bulk record of the hits its other
+/// bit pairs stand for, so the counters keep their per-bit-pair meaning:
+/// hits + misses is the number of filter survivors, and a cold cache
+/// forwards each key exactly once.
 ///
 /// Determinism: the output is bit-identical at any thread count, with the
-/// cache on or off. Each matrix cell (i, j)/(j, i), i < j, is written by
-/// exactly one body invocation — one phase-1 index or the phase-2 index
-/// that walks row i — the model is read-only during inference, a batched
-/// score does not depend on its batch neighbours, and cache hits are
-/// lossless (same key -> same score), so scheduling order cannot change a
-/// single bit of the result. Enforced by
-/// tests/runtime/scoring_parallel_test.cc at 1, 2, and 8 threads.
+/// cache on or off. Each class cell is written by exactly one body
+/// invocation, the model is read-only during inference, a batched score
+/// does not depend on its batch neighbours, and cache hits are lossless
+/// (same key -> same score), so scheduling order cannot change a single
+/// bit of the result. Enforced by tests/runtime/scoring_parallel_test.cc
+/// at 1, 2, and 8 threads.
 ScoreMatrix score_all_pairs(const std::vector<BitSequence>& bits,
                             const Tokenizer& tokenizer,
                             const FilterOptions& filter,
